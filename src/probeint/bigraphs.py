@@ -534,7 +534,8 @@ def is_interval_bigraph(m01: LabeledMatrix) -> Certificate:
         rows={r_: all_iv.rows[r_] for r_ in m01.rows},
         cols={c_: all_iv.cols[c_] for c_ in m01.cols},
     )
-    assert verify_bigraph_rep(m01, intervals)
+    if not verify_bigraph_rep(m01, intervals):
+        raise AssertionError("bigraph representation failed verification")
     return Certificate(
         verdict=True,
         kind=KIND_INTERVAL_BIGRAPH,

@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-compare", help="recognizers versus oracles")
     p.add_argument("--max-n", type=int, default=4, help="largest vertex count")
-    p.add_argument("--output", choices=("json", "text"), default="text")
     p.set_defaults(fn=_cmd_oracle_compare)
 
     return parser
@@ -323,3 +322,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

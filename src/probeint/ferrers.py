@@ -23,14 +23,19 @@ from .graphs import Graph, augmented_adjacency, symmetric_bigraph
 from .matrices import ONE, ZERO, LabeledMatrix, from_rows
 
 
+def _one_masks(m: LabeledMatrix) -> list[int]:
+    """Per row, the bitmask of the columns holding a 1."""
+    return [sum(1 << j for j, e in enumerate(row) if e == ONE) for row in m.entries]
+
+
+def _is_chain(masks: list[int]) -> bool:
+    """True iff the bitmasks are linearly ordered by bitwise inclusion."""
+    ordered = sorted(masks, key=lambda m_: bin(m_).count("1"))
+    return all(a & ~b == 0 for a, b in zip(ordered, ordered[1:]))
+
+
 def _ferrers_by_inclusion(m01: LabeledMatrix) -> bool:
-    nr, nc = m01.shape
-    nbhd = [
-        frozenset(j for j in range(nc) if m01.entries[i][j] == ONE)
-        for i in range(nr)
-    ]
-    ordered = sorted(nbhd, key=len)
-    return all(a <= b for a, b in zip(ordered, ordered[1:]))
+    return _is_chain(_one_masks(m01))
 
 
 def _ferrers_by_submatrix(m01: LabeledMatrix) -> bool:
@@ -100,22 +105,37 @@ def two_color(graph: dict):
     """
     color: dict = {}
     parent: dict = {}
-    for start in sorted(graph, key=repr):
-        if start in color:
-            continue
-        color[start] = "R"
-        parent[start] = None
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(graph[u], key=repr):
-                if v not in color:
-                    color[v] = "C" if color[u] == "R" else "R"
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None, _close_cycle(u, v, parent)
+    for u, nbrs, new in _bfs(graph):
+        for v in new:
+            color[v] = "R" if u is None or color[u] == "C" else "C"
+            parent[v] = u
+        for v in nbrs:
+            if color[v] == color[u]:
+                return None, _close_cycle(u, v, parent)
     return color, None
+
+
+def _bfs(graph: dict):
+    """Breadth-first walk over every component of {vertex: neighbor set}.
+
+    Roots and neighbors are taken in repr order.  A component starts with
+    (None, (), [root]); then every vertex u, once scanned, gives (u, its
+    neighbors, those of them first reached from u).  Being lazy, the walk
+    stops as soon as the caller does.
+    """
+    seen = set()
+    for root in sorted(graph, key=repr):
+        if root in seen:
+            continue
+        seen.add(root)
+        yield None, (), [root]
+        queue = [root]
+        for u in queue:  # the queue grows while it is read
+            nbrs = sorted(graph[u], key=repr)
+            new = [v for v in nbrs if v not in seen]
+            seen.update(new)
+            queue.extend(new)
+            yield u, nbrs, new
 
 
 def _close_cycle(u, v, parent) -> list:
@@ -130,7 +150,7 @@ def _close_cycle(u, v, parent) -> list:
     meet = path_v[-1]
     cycle = anc_u[: index[meet] + 1]  # u .. meet
     cycle.reverse()  # meet .. u
-    cycle.extend(reversed(path_v[:-1]))  # .. v (v adjacent to u closes it)
+    cycle.extend(path_v[:-1])  # v .. a child of meet, which closes it
     return cycle
 
 
@@ -197,29 +217,13 @@ def _complement_factor(m01: LabeledMatrix, coloring: dict, color: str) -> Labele
 
 
 def _components(graph: dict) -> list[list]:
-    seen = set()
-    comps = []
-    for start in sorted(graph, key=repr):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(graph[u], key=repr):
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(comp)
+    comps: list[list] = []
+    for u, _, new in _bfs(graph):
+        if u is None:
+            comps.append(new)
+        else:
+            comps[-1].extend(new)
     return comps
-
-
-def _chain_masks(masks: list[int]) -> bool:
-    """True iff the row bitmasks are linearly ordered by bitwise inclusion."""
-    ordered = sorted(masks, key=lambda m_: bin(m_).count("1"))
-    return all(a & ~b == 0 for a, b in zip(ordered, ordered[1:]))
 
 
 def decompose_two_ferrers(m01: LabeledMatrix, coloring: dict) -> FerrersFactorization:
@@ -246,12 +250,9 @@ def decompose_two_ferrers(m01: LabeledMatrix, coloring: dict) -> FerrersFactoriz
     for u in isolated:
         base[u] = "I"
 
-    nr, nc = m01.shape
     col_of = {c_: j for j, c_ in enumerate(m01.cols)}
     row_of = {r_: i for i, r_ in enumerate(m01.rows)}
-    ones = [
-        sum(1 << j for j in range(nc) if m01.entries[i][j] == ONE) for i in range(nr)
-    ]
+    ones = _one_masks(m01)
     comp_of = {}
     for k, comp in enumerate(comps):
         for u in comp:
@@ -272,11 +273,12 @@ def decompose_two_ferrers(m01: LabeledMatrix, coloring: dict) -> FerrersFactoriz
             elif color == "C":
                 f1_masks[i] |= 1 << j  # this zero belongs to F2 only
             # "I" zeros stay 0 in both factors
-        if _chain_masks(f1_masks) and _chain_masks(f2_masks):
+        if _is_chain(f1_masks) and _is_chain(f2_masks):
             f1 = _complement_factor(m01, assigned, "R")
             f2 = _complement_factor(m01, assigned, "C")
             fact = FerrersFactorization(factors=(f1, f2), target=m01)
-            assert fact.validate()
+            if not fact.validate():
+                raise AssertionError("two-factor decomposition failed validation")
             return fact
     raise AssertionError("no component flip yields two Ferrers factors")
 

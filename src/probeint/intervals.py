@@ -6,6 +6,10 @@ the diagonal are consecutive starting at the diagonal (and, by symmetry,
 likewise below it).  Recognition here is an exact backtracking search over
 vertex orders: desk-scale instances are the target, and the produced order
 doubles as a checkable certificate.
+
+The order search `_search_quasi_linear`, the ones scan `_scan_quasi_linear`
+and the representation check `_verify_rep` are shared with the probe
+routes: there the X-marked nonprobe pairs are neutral, neither a 1 nor a 0.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Optional, Sequence
 
 from .certificates import KIND_INTERVAL, Certificate, exhausted_witness
 from .graphs import Graph, augmented_adjacency
-from .matrices import ONE, LabeledMatrix
+from .matrices import ONE, X, LabeledMatrix
 
 
 def _require_symmetric_unit_diagonal(m: LabeledMatrix) -> None:
@@ -26,41 +30,43 @@ def _require_symmetric_unit_diagonal(m: LabeledMatrix) -> None:
         raise ValueError("diagonal is not all 1")
 
 
+def _scan_quasi_linear(p: LabeledMatrix) -> bool:
+    """Quasi-linear test in the stored order: right of the diagonal no 1
+    follows a 0 in any row, and below it none in any column.  X entries are
+    neutral, which makes this the quasi-x-linear test as well."""
+    for grid in (p.entries, tuple(zip(*p.entries))):  # rows, then columns
+        for i, line in enumerate(grid):
+            seen_zero = False
+            for e in line[i + 1 :]:
+                if e == ONE:
+                    if seen_zero:
+                        return False
+                elif e != X:
+                    seen_zero = True
+    return True
+
+
 def is_quasi_linear(m: LabeledMatrix, order: Sequence) -> bool:
     """True iff under the symmetric permutation `order` the 1s right of and
     below the principal diagonal are consecutive from the diagonal."""
     _require_symmetric_unit_diagonal(m)
-    p = m.permuted(tuple(order), tuple(order))
-    n = len(p.rows)
-    for i in range(n):
-        seen_zero = False
-        for j in range(i + 1, n):
-            if p.entries[i][j] == ONE:
-                if seen_zero:
-                    return False
-            else:
-                seen_zero = True
-        # below the diagonal, scanning column i downward
-        seen_zero = False
-        for j in range(i + 1, n):
-            if p.entries[j][i] == ONE:
-                if seen_zero:
-                    return False
-            else:
-                seen_zero = True
-    return True
+    return _scan_quasi_linear(m.permuted(tuple(order), tuple(order)))
 
 
-def _search_quasi_linear(adj: list[set[int]]) -> Optional[list[int]]:
+def _search_quasi_linear(
+    ones: list[set[int]], zeros: list[set[int]]
+) -> Optional[list[int]]:
     """Lexicographically least vertex order whose symmetric permutation is
     quasi-linear, or None.
 
+    `ones[u]` and `zeros[u]` are the vertices other than u whose entry in
+    row u is 1 and 0; a pair in neither (an X) constrains nothing.
     Backtracking over prefixes.  A prefix is extended by vertex v only if no
     already placed row that has seen a 0 (against placed columns, right of
     its diagonal) would now see a 1: such a row's 1s would no longer be
     consecutive no matter how the order is completed.
     """
-    n = len(adj)
+    n = len(ones)
     placed: list[int] = []
     gap: list[bool] = []  # gap[k]: row placed[k] has a 0 right of its diagonal
     used = [False] * n
@@ -73,7 +79,7 @@ def _search_quasi_linear(adj: list[set[int]]) -> Optional[list[int]]:
                 continue
             ok = True
             for k, u in enumerate(placed):
-                if gap[k] and v in adj[u]:
+                if gap[k] and v in ones[u]:
                     ok = False
                     break
             if not ok:
@@ -81,7 +87,7 @@ def _search_quasi_linear(adj: list[set[int]]) -> Optional[list[int]]:
             used[v] = True
             old_gap = gap.copy()
             for k in range(len(placed)):
-                if not gap[k] and v not in adj[placed[k]]:
+                if not gap[k] and v in zeros[placed[k]]:
                     gap[k] = True
             placed.append(v)
             gap.append(False)
@@ -95,17 +101,15 @@ def _search_quasi_linear(adj: list[set[int]]) -> Optional[list[int]]:
     return placed if extend() else None
 
 
-def _adjacency_sets(m: LabeledMatrix) -> list[set[int]]:
-    n = len(m.rows)
-    return [
-        {j for j in range(n) if j != i and m.entries[i][j] == ONE} for i in range(n)
-    ]
-
-
 def find_quasi_linear_order(m: LabeledMatrix) -> Certificate:
     """Search all symmetric orders of m for the quasi-linear ones property."""
     _require_symmetric_unit_diagonal(m)
-    found = _search_quasi_linear(_adjacency_sets(m))
+    n = len(m.rows)
+    ones = [
+        {j for j in range(n) if j != i and m.entries[i][j] == ONE} for i in range(n)
+    ]
+    zeros = [set(range(n)) - ones[i] - {i} for i in range(n)]
+    found = _search_quasi_linear(ones, zeros)
     if found is None:
         return Certificate(
             verdict=False, kind=KIND_INTERVAL, witness=exhausted_witness()
@@ -134,8 +138,9 @@ def intervals_from_quasi_linear(m: LabeledMatrix, order: Sequence) -> dict:
     return intervals
 
 
-def verify_interval_rep(g: Graph, intervals: dict) -> bool:
-    """Check adjacency iff interval intersection, over all vertex pairs."""
+def _verify_rep(g: Graph, intervals: dict, nonprobes) -> bool:
+    """Adjacency iff the intervals intersect and at least one endpoint is
+    outside `nonprobes`, over all vertex pairs."""
     for v in range(g.n):
         if g.vertex_names[v] not in intervals:
             raise ValueError(f"missing vertex {g.vertex_names[v]}")
@@ -144,9 +149,15 @@ def verify_interval_rep(g: Graph, intervals: dict) -> bool:
         for v in range(u + 1, g.n):
             lv, rv = intervals[g.vertex_names[v]]
             meets = max(lu, lv) <= min(ru, rv)
-            if meets != g.has_edge(u, v):
+            probe_pair = u not in nonprobes or v not in nonprobes
+            if (meets and probe_pair) != g.has_edge(u, v):
                 return False
     return True
+
+
+def verify_interval_rep(g: Graph, intervals: dict) -> bool:
+    """Check adjacency iff interval intersection, over all vertex pairs."""
+    return _verify_rep(g, intervals, frozenset())
 
 
 def is_interval_graph(g: Graph) -> Certificate:
@@ -156,7 +167,8 @@ def is_interval_graph(g: Graph) -> Certificate:
     if not cert.verdict:
         return cert
     intervals = intervals_from_quasi_linear(m, cert.order)
-    assert verify_interval_rep(g, intervals)
+    if not verify_interval_rep(g, intervals):
+        raise AssertionError("interval representation failed verification")
     return Certificate(
         verdict=True, kind=KIND_INTERVAL, order=cert.order, intervals=intervals
     )

@@ -15,7 +15,12 @@ probe endpoint.  Three equivalent matrix characterizations are implemented:
            restriction to the probe rows is an R-C partition.
 
 Every yes answer carries an interval assignment that has been verified
-against the probe adjacency rule before being returned.
+against the probe adjacency rule before being returned.  The qxl route runs
+the interval module's order search (`_search_quasi_linear`) and ones scan
+(`_scan_quasi_linear`) with the nonprobe pairs left neutral, and
+`verify_probe_rep` shares its body (`_verify_rep`) with
+`verify_interval_rep`.  char1 and char2 share the component-flip search,
+the chain-order leaf and the constructive pipeline.
 """
 
 from __future__ import annotations
@@ -38,9 +43,16 @@ from .certificates import (
     exhausted_witness,
     odd_cycle_witness,
 )
-from .ferrers import _components, couple_graph, two_color
+from .ferrers import _components, _is_chain, _one_masks, couple_graph, two_color
 from .graphs import Graph, augmented_adjacency, probe_bigraph
-from .intervals import intervals_from_quasi_linear, is_interval_graph
+from .intervals import (
+    _require_symmetric_unit_diagonal,
+    _scan_quasi_linear,
+    _search_quasi_linear,
+    _verify_rep,
+    intervals_from_quasi_linear,
+    is_interval_graph,
+)
 from .matrices import C, ONE, R, X, ZERO, LabeledMatrix
 
 
@@ -71,37 +83,12 @@ def x_mark_nonprobes(m: LabeledMatrix, nonprobes) -> LabeledMatrix:
     return m.relabeled(marks)
 
 
-def _qxl_scan(m: LabeledMatrix) -> bool:
-    """Quasi-x-linear test in the stored order: every plain 0 right of the
-    diagonal is followed only by 0s and Xs, and likewise below it."""
-    n = len(m.rows)
-    for i in range(n):
-        seen_zero = False
-        for j in range(i + 1, n):
-            e = m.entries[i][j]
-            if e == ONE and seen_zero:
-                return False
-            if e == ZERO:
-                seen_zero = True
-        seen_zero = False
-        for j in range(i + 1, n):
-            e = m.entries[j][i]
-            if e == ONE and seen_zero:
-                return False
-            if e == ZERO:
-                seen_zero = True
-    return True
-
-
 def is_quasi_x_linear(m: LabeledMatrix, order: Sequence, nonprobes) -> bool:
     """Does the symmetric permutation `order` satisfy the quasi-x-linear
     ones property, with X marking the nonprobe-square zeros?"""
-    if not m.is_symmetric():
-        raise ValueError("matrix is not symmetric")
-    if any(m.entries[i][i] != ONE for i in range(len(m.rows))):
-        raise ValueError("diagonal is not all 1")
+    _require_symmetric_unit_diagonal(m)
     marked = x_mark_nonprobes(m, nonprobes)
-    return _qxl_scan(marked.permuted(tuple(order), tuple(order)))
+    return _scan_quasi_linear(marked.permuted(tuple(order), tuple(order)))
 
 
 def x_fill(m_qxl: LabeledMatrix) -> LabeledMatrix:
@@ -111,7 +98,7 @@ def x_fill(m_qxl: LabeledMatrix) -> LabeledMatrix:
     plain 0 right of the diagonal becomes 1, any later X becomes 0.  Only X
     positions change; the result is symmetric and quasi-linear.
     """
-    if not _qxl_scan(m_qxl):
+    if not _scan_quasi_linear(m_qxl):
         raise ValueError("matrix does not satisfy the quasi-x-linear property")
     n = len(m_qxl.rows)
     grid = [list(row) for row in m_qxl.entries]
@@ -135,104 +122,67 @@ def x_fill(m_qxl: LabeledMatrix) -> LabeledMatrix:
     return out
 
 
+def _probe_cert(g: Graph, kind: str, route: str, **evidence) -> ProbeCertificate:
+    """A certificate from `route`, naming the nonprobes of g in sorted order."""
+    nonprobe_names = tuple(sorted(g.vertex_names[v] for v in g.nonprobes))
+    return ProbeCertificate(
+        kind=kind, route=route, nonprobes=nonprobe_names, **evidence
+    )
+
+
 def _trivial_certificate(g: Graph, kind: str, route: str) -> Optional[ProbeCertificate]:
     """Shortcuts for degenerate instances; None when the full route must run.
 
-    An empty nonprobe set reduces to interval recognition.  An empty probe
-    set forces an edgeless graph (the nonprobes are independent), which is
-    trivially a probe interval graph.
+    Raises when g has no nonprobe set.  An empty nonprobe set reduces to
+    interval recognition.  An empty probe set forces an edgeless graph (the
+    nonprobes are independent), which is trivially a probe interval graph.
     """
-    nonprobe_names = tuple(sorted(g.vertex_names[v] for v in g.nonprobes))
+    if g.nonprobes is None:
+        raise ValueError("graph has no nonprobe set")
     if not g.nonprobes:
         cert = is_interval_graph(g)
-        return ProbeCertificate(
+        return _probe_cert(
+            g,
+            kind,
+            route,
             verdict=cert.verdict,
-            kind=kind,
-            route=route,
-            nonprobes=nonprobe_names,
             order=cert.order,
             intervals=cert.intervals,
             witness=cert.witness,
         )
     if len(g.nonprobes) == g.n:
         intervals = {g.vertex_names[v]: (v + 1, v + 1) for v in range(g.n)}
-        assert verify_probe_rep(g, intervals)
-        return ProbeCertificate(
-            verdict=True,
-            kind=kind,
-            route=route,
-            nonprobes=nonprobe_names,
-            intervals=intervals,
-        )
+        if not verify_probe_rep(g, intervals):
+            raise AssertionError("edgeless representation failed verification")
+        return _probe_cert(g, kind, route, verdict=True, intervals=intervals)
     return None
 
 
 def recognize_qxl(g: Graph) -> ProbeCertificate:
     """Probe interval recognition by quasi-x-linear order search."""
-    if g.nonprobes is None:
-        raise ValueError("graph has no nonprobe set")
     shortcut = _trivial_certificate(g, KIND_QXL, ROUTE_QXL)
     if shortcut is not None:
         return shortcut
-    nonprobe_names = tuple(sorted(g.vertex_names[v] for v in g.nonprobes))
 
-    n = g.n
-    nps = g.nonprobes
-
-    def kind_of(u: int, v: int) -> str:
-        if u == v or g.has_edge(u, v):
-            return ONE
-        if u in nps and v in nps:
-            return X
-        return ZERO
-
-    placed: list[int] = []
-    gap: list[bool] = []
-    used = [False] * n
-
-    def extend() -> bool:
-        if len(placed) == n:
-            return True
-        for v in range(n):
-            if used[v]:
-                continue
-            if any(gap[k] and kind_of(u, v) == ONE for k, u in enumerate(placed)):
-                continue
-            used[v] = True
-            old_gap = gap.copy()
-            for k, u in enumerate(placed):
-                if not gap[k] and kind_of(u, v) == ZERO:
-                    gap[k] = True
-            placed.append(v)
-            gap.append(False)
-            if extend():
-                return True
-            placed.pop()
-            gap[:] = old_gap
-            used[v] = False
-        return False
-
-    if not extend():
-        return ProbeCertificate(
-            verdict=False,
-            kind=KIND_QXL,
-            route=ROUTE_QXL,
-            nonprobes=nonprobe_names,
-            witness=exhausted_witness(),
+    ones = [set(g.neighbors(u)) for u in range(g.n)]
+    zeros = [set(range(g.n)) - ones[u] - {u} for u in range(g.n)]
+    for u in g.nonprobes:
+        zeros[u] -= g.nonprobes  # nonprobe pairs are X: neither 1 nor 0
+    placed = _search_quasi_linear(ones, zeros)
+    if placed is None:
+        return _probe_cert(
+            g, KIND_QXL, ROUTE_QXL, verdict=False, witness=exhausted_witness()
         )
 
     order = tuple(g.vertex_names[v] for v in placed)
+    nonprobe_names = [g.vertex_names[v] for v in g.nonprobes]
     marked = x_mark_nonprobes(augmented_adjacency(g), nonprobe_names)
     filled = x_fill(marked.permuted(order, order))
     intervals = intervals_from_quasi_linear(filled, filled.rows)
-    assert verify_probe_rep(g, intervals)
-    return ProbeCertificate(
-        verdict=True,
-        kind=KIND_QXL,
-        route=ROUTE_QXL,
-        nonprobes=nonprobe_names,
-        order=order,
-        intervals=intervals,
+    if not verify_probe_rep(g, intervals):
+        raise AssertionError("qxl representation failed verification")
+    return _probe_cert(
+        g, KIND_QXL, ROUTE_QXL, verdict=True, order=order, intervals=intervals
     )
 
 
@@ -240,18 +190,7 @@ def verify_probe_rep(g: Graph, intervals: dict) -> bool:
     """Adjacency iff intervals intersect and at least one endpoint is a probe."""
     if g.nonprobes is None:
         raise ValueError("graph has no nonprobe set")
-    for v in range(g.n):
-        if g.vertex_names[v] not in intervals:
-            raise ValueError(f"missing vertex {g.vertex_names[v]}")
-    for u in range(g.n):
-        lu, ru = intervals[g.vertex_names[u]]
-        for v in range(u + 1, g.n):
-            lv, rv = intervals[g.vertex_names[v]]
-            meets = max(lu, lv) <= min(ru, rv)
-            probe_pair = u not in g.nonprobes or v not in g.nonprobes
-            if (meets and probe_pair) != g.has_edge(u, v):
-                return False
-    return True
+    return _verify_rep(g, intervals, g.nonprobes)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +220,9 @@ def scan_forbidden(m: LabeledMatrix, probes, nonprobes) -> Optional[tuple]:
     return None
 
 
-def _chain_orders(m01: LabeledMatrix, labeling: dict) -> Optional[tuple]:
-    """Row and column orders realizing a zero labeling, or None.
+def _rc_partition(m01: LabeledMatrix, labeling: dict) -> Optional[LabeledMatrix]:
+    """The R-C matrix of a zero labeling in row and column orders that
+    realize it, or None when no orders do.
 
     A labeling extends to a valid R-C partition iff the per-row R column
     sets form a chain under inclusion and the per-column C row sets do too;
@@ -291,23 +231,26 @@ def _chain_orders(m01: LabeledMatrix, labeling: dict) -> Optional[tuple]:
     independent: R constrains only the column order, C only the row order.
     """
     nr, nc = m01.shape
-    r_sets = [
-        frozenset(j for j in range(nc) if labeling.get((i, j)) == R)
-        for i in range(nr)
-    ]
-    c_sets = [
-        frozenset(i for i in range(nr) if labeling.get((i, j)) == C)
-        for j in range(nc)
-    ]
-    for sets in (r_sets, c_sets):
-        ordered = sorted(sets, key=len)
-        if not all(a <= b for a, b in zip(ordered, ordered[1:])):
-            return None
-    col_count = [sum(1 for s in r_sets if j in s) for j in range(nc)]
-    row_count = [sum(1 for s in c_sets if i in s) for i in range(nr)]
-    col_order = tuple(m01.cols[j] for j in sorted(range(nc), key=lambda j: (col_count[j], j)))
-    row_order = tuple(m01.rows[i] for i in sorted(range(nr), key=lambda i: (row_count[i], i)))
-    return row_order, col_order
+    r_rows = [0] * nr  # per row, the bitmask of its R columns
+    c_cols = [0] * nc  # per column, the bitmask of its C rows
+    for (i, j), col in labeling.items():
+        if col == R:
+            r_rows[i] |= 1 << j
+        elif col == C:
+            c_cols[j] |= 1 << i
+    if not (_is_chain(r_rows) and _is_chain(c_cols)):
+        return None
+    col_count = [sum(mask >> j & 1 for mask in r_rows) for j in range(nc)]
+    row_count = [sum(mask >> i & 1 for mask in c_cols) for i in range(nr)]
+    col_order = sorted(range(nc), key=lambda j: (col_count[j], j))
+    row_order = sorted(range(nr), key=lambda i: (row_count[i], i))
+    row_at = {i: k for k, i in enumerate(row_order)}
+    col_at = {j: k for k, j in enumerate(col_order)}
+    labeled = m01.permuted(
+        tuple(m01.rows[i] for i in row_order), tuple(m01.cols[j] for j in col_order)
+    ).relabeled({(row_at[i], col_at[j]): col for (i, j), col in labeling.items()})
+    assert check_rc_valid(labeled)
+    return labeled
 
 
 def _positions_by_label(m: LabeledMatrix) -> dict:
@@ -318,18 +261,25 @@ def _positions_by_label(m: LabeledMatrix) -> dict:
     }
 
 
-def _ordered_components(graph: dict, pos_of: dict) -> list[list]:
-    comps = _components(graph)
-    comps.sort(key=lambda comp: min(pos_of[v] for v in comp))
-    return [sorted(comp, key=lambda v: pos_of[v]) for comp in comps]
+def _search_colorings(graph: dict, coloring: dict, pos_of: dict, prune, try_leaf):
+    """DFS over the component flips of a proper 2-coloring of `graph`.
 
-
-def _search_colorings(components, base_color, prune, try_leaf):
-    """DFS over per-component flips, base branch first (lexicographic)."""
+    Components are taken in the order of their least zero under `pos_of`,
+    and the base branch colors that zero R, so the search is lexicographic.
+    """
+    components = sorted(
+        (sorted(comp, key=pos_of.__getitem__) for comp in _components(graph)),
+        key=lambda comp: pos_of[comp[0]],
+    )
+    base_color = {
+        v: R if coloring[v] == coloring[comp[0]] else C
+        for comp in components
+        for v in comp
+    }
     assigned: dict = {}
 
     def rec(k: int):
-        if prune is not None and prune(assigned):
+        if prune(assigned):
             return None
         if k == len(components):
             return try_leaf(assigned)
@@ -349,71 +299,51 @@ def _search_colorings(components, base_color, prune, try_leaf):
     return rec(0)
 
 
-def _definite_chain_conflict(m01: LabeledMatrix, assigned_idx: dict) -> bool:
+def _definite_chain_conflict(one_masks: tuple, assigned_idx: dict) -> bool:
     """True when a partial labeling can no longer satisfy the chain tests.
 
     Two rows are permanently incomparable when each already has an R in a
     column where the other is blocked (a 1, or a zero already marked C);
-    later assignments cannot remove either side.  Columns symmetrically.
+    later assignments cannot remove either side.  Columns symmetrically,
+    with C and R swapped.  `one_masks` holds the bitmasks of the 1s per row
+    and per column.
     """
-    nr, nc = m01.shape
-    r_rows = []
-    blocked_rows = []
-    for i in range(nr):
-        rs = set()
-        blocked = set()
-        for j in range(nc):
-            e = m01.entries[i][j]
-            if e == ONE:
-                blocked.add(j)
-            else:
-                col = assigned_idx.get((i, j))
-                if col == R:
-                    rs.add(j)
-                elif col == C:
-                    blocked.add(j)
-        r_rows.append(rs)
-        blocked_rows.append(blocked)
-    for a in range(nr):
-        for b in range(a + 1, nr):
-            if (r_rows[a] & blocked_rows[b]) and (r_rows[b] & blocked_rows[a]):
-                return True
-    c_cols = []
-    blocked_cols = []
-    for j in range(nc):
-        cs = set()
-        blocked = set()
-        for i in range(nr):
-            e = m01.entries[i][j]
-            if e == ONE:
-                blocked.add(i)
-            else:
-                col = assigned_idx.get((i, j))
-                if col == C:
-                    cs.add(i)
-                elif col == R:
-                    blocked.add(i)
-        c_cols.append(cs)
-        blocked_cols.append(blocked)
-    for a in range(nc):
-        for b in range(a + 1, nc):
-            if (c_cols[a] & blocked_cols[b]) and (c_cols[b] & blocked_cols[a]):
-                return True
-    return False
+    one_rows, one_cols = one_masks
+    r_rows, c_rows = [0] * len(one_rows), [0] * len(one_rows)
+    r_cols, c_cols = [0] * len(one_cols), [0] * len(one_cols)
+    for (i, j), col in assigned_idx.items():
+        if col == R:
+            r_rows[i] |= 1 << j
+            r_cols[j] |= 1 << i
+        elif col == C:
+            c_rows[i] |= 1 << j
+            c_cols[j] |= 1 << i
+    return _crossing(r_rows, [o | c for o, c in zip(one_rows, c_rows)]) or _crossing(
+        c_cols, [o | r for o, r in zip(one_cols, r_cols)]
+    )
+
+
+def _crossing(marks: list[int], blocked: list[int]) -> bool:
+    """True iff two lines each have a mark where the other is blocked."""
+    n = len(marks)
+    return any(
+        marks[a] & blocked[b] and marks[b] & blocked[a]
+        for a in range(n)
+        for b in range(a + 1, n)
+    )
 
 
 def _probe_pipeline(
     g: Graph, labeled: LabeledMatrix, kind: str, route: str
 ) -> ProbeCertificate:
     """Align, diagonalize and extract a verified probe representation."""
-    nonprobe_names = tuple(sorted(g.vertex_names[v] for v in g.nonprobes))
     aligned = align_probe_columns(labeled)
     intervals = probe_representation(aligned, g)
-    return ProbeCertificate(
+    return _probe_cert(
+        g,
+        kind,
+        route,
         verdict=True,
-        kind=kind,
-        route=route,
-        nonprobes=nonprobe_names,
         row_order=aligned.rows,
         col_order=aligned.cols,
         labeling=aligned,
@@ -430,8 +360,6 @@ def recognize_char1(g: Graph) -> ProbeCertificate:
     avoid the forbidden pattern.  The first surviving labeling is turned
     into a verified representation.
     """
-    if g.nonprobes is None:
-        raise ValueError("graph has no nonprobe set")
     shortcut = _trivial_certificate(g, KIND_PROBE_CHAR1, ROUTE_CHAR1)
     if shortcut is not None:
         return shortcut
@@ -442,22 +370,16 @@ def recognize_char1(g: Graph) -> ProbeCertificate:
     graph = couple_graph(m01)
     coloring, cycle = two_color(graph)
     if coloring is None:
-        return ProbeCertificate(
+        return _probe_cert(
+            g,
+            KIND_PROBE_CHAR1,
+            ROUTE_CHAR1,
             verdict=False,
-            kind=KIND_PROBE_CHAR1,
-            route=ROUTE_CHAR1,
-            nonprobes=nonprobe_names,
             witness=odd_cycle_witness(cycle),
         )
 
     pos_of = _positions_by_label(m01)
-    components = _ordered_components(graph, pos_of)
-    base_color = {}
-    for comp in components:
-        # normalize: the least zero of every component starts as R
-        offset = coloring[comp[0]]
-        for v in comp:
-            base_color[v] = R if coloring[v] == offset else C
+    one_masks = (_one_masks(m01), _one_masks(m01.transpose()))
 
     pattern_triples = []
     for p in probe_names:
@@ -473,26 +395,17 @@ def recognize_char1(g: Graph) -> ProbeCertificate:
         for pn, qn in pattern_triples:
             if assigned_idx.get(pn) == R and assigned_idx.get(qn) == C:
                 return True
-        return _definite_chain_conflict(m01, assigned_idx)
+        return _definite_chain_conflict(one_masks, assigned_idx)
 
     def try_leaf(assigned: dict):
-        labeling = {pos_of[v]: col for v, col in assigned.items()}
-        orders = _chain_orders(m01, labeling)
-        if orders is None:
+        labeled = _rc_partition(m01, {pos_of[v]: col for v, col in assigned.items()})
+        if labeled is None:
             return None
-        row_order, col_order = orders
-        labeled = m01.permuted(row_order, col_order).relabeled(
-            {
-                (row_order.index(m01.rows[i]), col_order.index(m01.cols[j])): col
-                for (i, j), col in labeling.items()
-            }
-        )
-        assert check_rc_valid(labeled)
         if scan_forbidden(labeled, probe_names, nonprobe_names) is not None:
             return None
         return _probe_pipeline(g, labeled, KIND_PROBE_CHAR1, ROUTE_CHAR1)
 
-    found = _search_colorings(components, base_color, prune, try_leaf)
+    found = _search_colorings(graph, coloring, pos_of, prune, try_leaf)
     if found is not None:
         return found
 
@@ -500,24 +413,18 @@ def recognize_char1(g: Graph) -> ProbeCertificate:
     # rerun without the pattern checks, asking only for order-admission
     def prune_chain_only(assigned: dict) -> bool:
         assigned_idx = {pos_of[v]: col for v, col in assigned.items()}
-        return _definite_chain_conflict(m01, assigned_idx)
+        return _definite_chain_conflict(one_masks, assigned_idx)
 
     def admits_orders_leaf(assigned: dict):
         labeling = {pos_of[v]: col for v, col in assigned.items()}
-        return True if _chain_orders(m01, labeling) is not None else None
+        return True if _rc_partition(m01, labeling) is not None else None
 
     bigraph_ok = _search_colorings(
-        components, base_color, prune_chain_only, admits_orders_leaf
+        graph, coloring, pos_of, prune_chain_only, admits_orders_leaf
     )
     witness = exhausted_witness()
     witness["interval_bigraph"] = bool(bigraph_ok)
-    return ProbeCertificate(
-        verdict=False,
-        kind=KIND_PROBE_CHAR1,
-        route=ROUTE_CHAR1,
-        nonprobes=nonprobe_names,
-        witness=witness,
-    )
+    return _probe_cert(g, KIND_PROBE_CHAR1, ROUTE_CHAR1, verdict=False, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +503,8 @@ def probe_representation(m_aligned: LabeledMatrix, g: Optional[Graph] = None) ->
             )
         assignment[n_] = (left, right)
 
-    if g is not None:
-        assert verify_probe_rep(g, assignment)
+    if g is not None and not verify_probe_rep(g, assignment):
+        raise AssertionError("probe representation failed verification")
     return assignment
 
 
@@ -632,8 +539,6 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
     carry the forbidden pattern (the pattern's nonprobe column would close
     a couple with equal colors), so the same constructive pipeline applies.
     """
-    if g.nonprobes is None:
-        raise ValueError("graph has no nonprobe set")
     shortcut = _trivial_certificate(g, KIND_PROBE_CHAR2, ROUTE_CHAR2)
     if shortcut is not None:
         return shortcut
@@ -643,11 +548,11 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
     reduced = reduced_associated_graph(g)
     coloring, cycle = two_color(reduced)
     if coloring is None:
-        return ProbeCertificate(
+        return _probe_cert(
+            g,
+            KIND_PROBE_CHAR2,
+            ROUTE_CHAR2,
             verdict=False,
-            kind=KIND_PROBE_CHAR2,
-            route=ROUTE_CHAR2,
-            nonprobes=nonprobe_names,
             witness=odd_cycle_witness(cycle),
         )
 
@@ -655,12 +560,7 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
     aug = augmented_adjacency(g)
     pos_of_aug = _positions_by_label(aug)
     pos_of_b = _positions_by_label(m01)
-    components = _ordered_components(reduced, pos_of_aug)
-    base_color = {}
-    for comp in components:
-        offset = coloring[comp[0]]
-        for v in comp:
-            base_color[v] = R if coloring[v] == offset else C
+    one_masks = (_one_masks(m01), _one_masks(m01.transpose()))
 
     probe_set = set(probe_names)
 
@@ -672,7 +572,7 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
         return out
 
     def prune(assigned: dict) -> bool:
-        return _definite_chain_conflict(m01, restrict(assigned))
+        return _definite_chain_conflict(one_masks, restrict(assigned))
 
     def try_leaf(assigned: dict):
         # mirror consistency: pn and np sit in one couple, so their colors
@@ -681,28 +581,15 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
             if u in probe_set and v not in probe_set:
                 mirror = assigned.get((v, u))
                 assert mirror is not None and mirror != col
-        labeling = restrict(assigned)
-        orders = _chain_orders(m01, labeling)
-        if orders is None:
+        labeled = _rc_partition(m01, restrict(assigned))
+        if labeled is None:
             return None
-        row_order, col_order = orders
-        labeled = m01.permuted(row_order, col_order).relabeled(
-            {
-                (row_order.index(m01.rows[i]), col_order.index(m01.cols[j])): col
-                for (i, j), col in labeling.items()
-            }
-        )
-        assert check_rc_valid(labeled)
         assert scan_forbidden(labeled, probe_names, nonprobe_names) is None
         return _probe_pipeline(g, labeled, KIND_PROBE_CHAR2, ROUTE_CHAR2)
 
-    found = _search_colorings(components, base_color, prune, try_leaf)
+    found = _search_colorings(reduced, coloring, pos_of_aug, prune, try_leaf)
     if found is not None:
         return found
-    return ProbeCertificate(
-        verdict=False,
-        kind=KIND_PROBE_CHAR2,
-        route=ROUTE_CHAR2,
-        nonprobes=nonprobe_names,
-        witness=exhausted_witness(),
+    return _probe_cert(
+        g, KIND_PROBE_CHAR2, ROUTE_CHAR2, verdict=False, witness=exhausted_witness()
     )

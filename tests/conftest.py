@@ -7,12 +7,42 @@ probes-by-vertices bigraph is an interval bigraph.  With nonprobes
 {b, e, f} it is a probe interval graph.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from probeint import build_graph
 from probeint.matrices import from_rows, from_zero_one
 
 NET_EDGES = [("a", "b"), ("b", "c"), ("b", "d"), ("c", "d"), ("c", "e"), ("d", "f")]
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports probeint from this checkout."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
+def assert_odd_couple_cycle(m, cycle):
+    """Every consecutive pair of zero positions along the odd cycle, the
+    last back to the first, must be a couple of the 0/1 matrix m."""
+    assert len(cycle) >= 3 and len(cycle) % 2 == 1
+    for k, (r1, c1) in enumerate(cycle):
+        r2, c2 = cycle[(k + 1) % len(cycle)]
+        assert m.entry(r1, c1) == "0" and m.entry(r2, c2) == "0"
+        assert r1 != r2 and c1 != c2
+        assert m.entry(r1, c2) == "1" and m.entry(r2, c1) == "1"
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from probeint import probe_bigraph
 from probeint.cli import dispatch
 from probeint.io import matrix_to_text, serialize_graph
-from tests.conftest import NET_EDGES
+from tests.conftest import NET_EDGES, run_python
 
 NET_JSON = json.dumps(
     {
@@ -140,9 +140,16 @@ def test_split_check_no(tmp_path, k222, capsys):
     assert dispatch(["split-check", str(p)]) == 1
 
 
+def test_module_entry_point_runs_cli(files):
+    proc = run_python("-m", "probeint.cli", "interval", files["c4.txt"])
+    assert proc.returncode == 1
+    assert "verdict: no" in proc.stdout
+
+
 def test_oracle_compare_small(capsys):
     assert dispatch(["oracle-compare", "--max-n", "4"]) == 0
     assert "disagreements: 0" in capsys.readouterr().out
+    assert dispatch(["oracle-compare", "--max-n", "4", "--output", "json"]) == 2
 
 
 def test_output_byte_identical_across_runs(files, capsys):

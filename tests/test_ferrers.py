@@ -24,6 +24,7 @@ from probeint.ferrers import (
 )
 from probeint.matrices import ONE, from_zero_one
 from probeint.sweeps import graph_class_representatives, matrix_class_representatives
+from tests.conftest import assert_odd_couple_cycle
 
 
 def test_ferrers_all_ones():
@@ -91,16 +92,7 @@ def test_dim2_all_ones_yes():
 def test_dim2_c4_augmented_no(c4):
     cert = ferrers_dim_le_2(augmented_adjacency(c4))
     assert not cert.verdict
-    cycle = cert.witness["positions"]
-    assert len(cycle) % 2 == 1
-    m = augmented_adjacency(c4)
-    # every consecutive pair along the cycle must be a genuine couple
-    for k in range(len(cycle)):
-        (r1, c1) = cycle[k]
-        (r2, c2) = cycle[(k + 1) % len(cycle)]
-        assert m.entry(r1, c1) == "0" and m.entry(r2, c2) == "0"
-        assert r1 != r2 and c1 != c2
-        assert m.entry(r1, c2) == "1" and m.entry(r2, c1) == "1"
+    assert_odd_couple_cycle(augmented_adjacency(c4), cert.witness["positions"])
 
 
 def test_decompose_identity_forced():
@@ -173,20 +165,13 @@ def test_dim2_yes_implies_decomposition_validates():
 
 def test_dim2_no_witness_is_genuine_odd_couple_cycle():
     count = 0
-    for n in range(4, 6):
+    for n in range(4, 7):
         for g in graph_class_representatives(n):
             cert = interval_iff_dim2(g)
             if cert.verdict:
                 continue
             count += 1
-            m = augmented_adjacency(g)
-            cycle = cert.witness["positions"]
-            assert len(cycle) >= 3 and len(cycle) % 2 == 1
-            for k, (r1, c1) in enumerate(cycle):
-                r2, c2 = cycle[(k + 1) % len(cycle)]
-                assert m.entry(r1, c1) == "0" and m.entry(r2, c2) == "0"
-                assert r1 != r2 and c1 != c2
-                assert m.entry(r1, c2) == "1" and m.entry(r2, c1) == "1"
+            assert_odd_couple_cycle(augmented_adjacency(g), cert.witness["positions"])
     assert count > 0
 
 

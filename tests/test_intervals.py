@@ -14,6 +14,7 @@ from probeint import (
 )
 from probeint.matrices import from_zero_one
 from probeint.sweeps import graph_class_representatives
+from tests.conftest import run_python
 
 
 def path(names):
@@ -109,6 +110,24 @@ def test_verify_c4_candidates_fail(c4):
 def test_verify_edgeless_disjoint():
     g = build_graph([], vertices=["a", "b", "c"])
     assert verify_interval_rep(g, {"a": (1, 1), "b": (3, 3), "c": (5, 5)})
+
+
+# Every interval [1, 1] makes a and c meet although they are not adjacent.
+CORRUPT_READ_OFF = """
+import sys
+import probeint.intervals as iv
+from probeint import build_graph
+print("optimize", sys.flags.optimize)
+iv.intervals_from_quasi_linear = lambda m, order: {v: (1, 1) for v in m.rows}
+iv.is_interval_graph(build_graph([("a", "b"), ("b", "c")]))
+"""
+
+
+def test_verify_failure_raises_under_optimize():
+    proc = run_python("-O", "-c", CORRUPT_READ_OFF)
+    assert "optimize 1" in proc.stdout
+    assert proc.returncode != 0
+    assert "AssertionError: interval representation failed verification" in proc.stderr
 
 
 def test_caterpillars_are_interval():

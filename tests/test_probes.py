@@ -27,6 +27,7 @@ from probeint import (
 from probeint.matrices import ONE, X, from_rows
 from probeint.probes import x_mark_nonprobes
 from probeint.sweeps import graph_class_representatives, independent_set_orbits
+from tests.conftest import assert_odd_couple_cycle
 
 ROUTES = (recognize_qxl, recognize_char1, recognize_char2)
 
@@ -163,6 +164,25 @@ def test_routes_net_bef_yes(route, net_bef):
     cert = route(net_bef)
     assert cert.verdict
     assert verify_probe_rep(net_bef, cert.intervals)
+
+
+def hole(k, nonprobes):
+    names = [f"v{i}" for i in range(k)]
+    edges = [(names[i], names[(i + 1) % k]) for i in range(k)]
+    return build_graph(edges, nonprobes=[names[i] for i in nonprobes])
+
+
+@pytest.mark.parametrize(
+    "route, matrix",
+    [(recognize_char1, probe_bigraph), (recognize_char2, augmented_adjacency)],
+)
+@pytest.mark.parametrize("k, nonprobes", [(6, [0, 3]), (7, [0, 3])])
+def test_routes_hole_no_witness_is_odd_couple_cycle(route, matrix, k, nonprobes):
+    g = hole(k, nonprobes)
+    cert = route(g)
+    assert not cert.verdict
+    assert cert.witness["type"] == "odd-cycle"
+    assert_odd_couple_cycle(matrix(g), cert.witness["positions"])
 
 
 def test_char1_no_but_bigraph_yes(net):
