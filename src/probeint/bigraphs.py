@@ -11,12 +11,12 @@ yields an interval representation.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .certificates import KIND_INTERVAL_BIGRAPH, Certificate, exhausted_witness
+from .ferrers import _components, _is_chain, _one_masks, couple_graph, two_color
 from .matrices import C, ONE, R, X, ZERO, LabeledMatrix, strip_to
 
 
@@ -57,7 +57,7 @@ def check_rc_valid(m: LabeledMatrix) -> bool:
     return True
 
 
-def _rc_closure(grid, extra_one_right=None):
+def _rc_closure(grid):
     """Forced R/C labels for the zeros of a 0/1 grid, under its given orders.
 
     A zero with a 1 later in its row cannot be R, so it is C; a zero with a
@@ -66,17 +66,12 @@ def _rc_closure(grid, extra_one_right=None):
     zeros below it and left of it to C.  Zeros never reached are free and
     default to R, which is always consistent after the closure.
 
-    `extra_one_right[p]`, when given, marks rows that are known to contain
-    a 1 in some column that will be appended to the right of the grid.
-
     Returns (labels, conflict_position); labels is None on conflict.
     """
     nr = len(grid)
     nc = len(grid[0]) if nr else 0
     label: dict = {}
     queue: deque = deque()
-
-    conflict = None
 
     def put(pos, value) -> bool:
         cur = label.get(pos)
@@ -90,7 +85,7 @@ def _rc_closure(grid, extra_one_right=None):
 
     one_right = [[False] * nc for _ in range(nr)]
     for p in range(nr):
-        seen = bool(extra_one_right and extra_one_right[p])
+        seen = False
         for q in range(nc - 1, -1, -1):
             one_right[p][q] = seen
             if grid[p][q] == ONE:
@@ -137,7 +132,7 @@ def _rc_closure(grid, extra_one_right=None):
         for q in range(nc):
             if grid[p][q] == ZERO and (p, q) not in label:
                 label[(p, q)] = R
-    return label, conflict
+    return label, None
 
 
 def forced_labeling(m01: LabeledMatrix, row_order: Sequence, col_order: Sequence) -> LabeledMatrix:
@@ -154,74 +149,188 @@ def forced_labeling(m01: LabeledMatrix, row_order: Sequence, col_order: Sequence
         i, j = conflict
         raise LabelingConflict((p.rows[i], p.cols[j]))
     out = p.relabeled(labels)
-    assert check_rc_valid(out)
+    if not check_rc_valid(out):
+        raise AssertionError("forced labeling is not a valid R-C partition")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the R-C partition engine, shared with the char1 and char2 probe routes
+
+
+def _positions_by_label(m: LabeledMatrix) -> dict:
+    return {
+        (m.rows[i], m.cols[j]): (i, j)
+        for i in range(len(m.rows))
+        for j in range(len(m.cols))
+    }
+
+
+def _rc_partition(m01: LabeledMatrix, labeling: dict) -> Optional[LabeledMatrix]:
+    """The R-C matrix of a zero labeling in row and column orders that
+    realize it, or None when no orders do.
+
+    A labeling extends to a valid R-C partition iff the per-row R column
+    sets form a chain under inclusion and the per-column C row sets do too;
+    sorting columns by R membership count then makes every row's R set an
+    exact suffix, and likewise rows for the C sets.  The two conditions are
+    independent: R constrains only the column order, C only the row order.
+    """
+    nr, nc = m01.shape
+    r_rows = [0] * nr  # per row, the bitmask of its R columns
+    c_cols = [0] * nc  # per column, the bitmask of its C rows
+    for (i, j), col in labeling.items():
+        if col == R:
+            r_rows[i] |= 1 << j
+        elif col == C:
+            c_cols[j] |= 1 << i
+    if not (_is_chain(r_rows) and _is_chain(c_cols)):
+        return None
+    col_count = [sum(mask >> j & 1 for mask in r_rows) for j in range(nc)]
+    row_count = [sum(mask >> i & 1 for mask in c_cols) for i in range(nr)]
+    col_order = sorted(range(nc), key=lambda j: (col_count[j], j))
+    row_order = sorted(range(nr), key=lambda i: (row_count[i], i))
+    row_at = {i: k for k, i in enumerate(row_order)}
+    col_at = {j: k for k, j in enumerate(col_order)}
+    labeled = m01.permuted(
+        tuple(m01.rows[i] for i in row_order), tuple(m01.cols[j] for j in col_order)
+    ).relabeled({(row_at[i], col_at[j]): col for (i, j), col in labeling.items()})
+    if not check_rc_valid(labeled):
+        raise AssertionError("chain-ordered labeling is not a valid R-C partition")
+    return labeled
+
+
+def _search_colorings(
+    m01: LabeledMatrix,
+    graph: dict,
+    coloring: dict,
+    pos_of: Optional[dict] = None,
+    prune=None,
+    accept=None,
+) -> Optional[LabeledMatrix]:
+    """First R-C partition of m01 among the component flips of `coloring`.
+
+    `coloring` is a proper 2-coloring of `graph`, whose vertices are (row
+    label, column label) pairs.  The vertices that name a cell of m01 take
+    their color as its label; any others only tie components together.
+    Components are taken in the order of their least vertex under `pos_of`
+    (by default the cell positions in m01), and the base branch colors that
+    vertex R, so the search is lexicographic.  A branch is cut when
+    `prune(labels)` holds or the labels can no longer pass the chain tests;
+    a leaf is taken when its labels extend to orders and `accept(labeled)`
+    holds.  `labels` maps the (i, j) cells labeled so far to R or C.
+    """
+    cell_of = _positions_by_label(m01)
+    if pos_of is None:
+        pos_of = cell_of
+    one_masks = (_one_masks(m01), _one_masks(m01.transpose()))
+    components = sorted(
+        (sorted(comp, key=pos_of.__getitem__) for comp in _components(graph)),
+        key=lambda comp: pos_of[comp[0]],
+    )
+    # per component, its cells of m01 with their base colors
+    cells = [
+        [
+            (cell_of[v], R if coloring[v] == coloring[comp[0]] else C)
+            for v in comp
+            if v in cell_of
+        ]
+        for comp in components
+    ]
+    # per component, the rows and the columns its cells lie in
+    lines = [({i for (i, _), _ in cs}, {j for (_, j), _ in cs}) for cs in cells]
+    swap = {R: C, C: R}
+    labels: dict = {}
+    flips: list = []  # the branch taken at each component so far
+
+    def paint(k: int, flip: bool) -> None:
+        for cell, color in cells[k]:
+            labels[cell] = swap[color] if flip else color
+
+    # a loop, not recursion: every isolated zero is a component of its own,
+    # so the depth reaches the number of zeros
+    while True:
+        k = len(flips)  # components 0 .. k - 1 are labeled
+        cut = (prune is not None and prune(labels)) or (
+            k > 0 and _definite_chain_conflict(one_masks, labels, *lines[k - 1])
+        )
+        if not cut and k < len(cells):
+            paint(k, False)
+            flips.append(False)
+            continue
+        if not cut:
+            labeled = _rc_partition(m01, labels)
+            if labeled is not None and (accept is None or accept(labeled)):
+                return labeled
+        while flips and flips[-1]:
+            flips.pop()
+            for cell, _ in cells[len(flips)]:
+                del labels[cell]
+        if not flips:
+            return None
+        flips[-1] = True
+        paint(len(flips) - 1, True)
+
+
+def _definite_chain_conflict(one_masks: tuple, labels: dict, rows, cols) -> bool:
+    """True when a partial labeling can no longer satisfy the chain tests.
+
+    Two rows are permanently incomparable when each already has an R in a
+    column where the other is blocked (a 1, or a zero already marked C);
+    later assignments cannot remove either side.  Columns symmetrically,
+    with C and R swapped.  `one_masks` holds the bitmasks of the 1s per row
+    and per column.  Only pairs holding one of `rows` (or `cols`), the
+    lines labeled last, are tested: the labeling before them had no pair.
+    """
+    one_rows, one_cols = one_masks
+    r_rows, c_rows = [0] * len(one_rows), [0] * len(one_rows)
+    r_cols, c_cols = [0] * len(one_cols), [0] * len(one_cols)
+    for (i, j), col in labels.items():
+        if col == R:
+            r_rows[i] |= 1 << j
+            r_cols[j] |= 1 << i
+        elif col == C:
+            c_rows[i] |= 1 << j
+            c_cols[j] |= 1 << i
+    return _crossing(
+        r_rows, [o | c for o, c in zip(one_rows, c_rows)], rows
+    ) or _crossing(c_cols, [o | r for o, r in zip(one_cols, r_cols)], cols)
+
+
+def _crossing(marks: list[int], blocked: list[int], lines) -> bool:
+    """True iff one of `lines` and another line each have a mark where the
+    other is blocked.  No line has a mark where it is itself blocked."""
+    return any(
+        marks[a] & blocked[b] and marks[b] & blocked[a]
+        for a in lines
+        for b in range(len(marks))
+    )
 
 
 def find_rc_partition(m01: LabeledMatrix) -> Certificate:
     """Search row and column orders admitting an R-C labeling.
 
-    Row orders are tried lexicographically; for each, column orders are
-    built by backtracking, pruning a prefix as soon as its forced labels
-    conflict (1s in columns not yet placed are known to land to the right,
-    so they already force C on the zeros of their rows).  The first hit is
-    therefore the lexicographically least (row order, column order) pair.
+    An R-C labeling labels the two zeros of every couple apart, so it is a
+    proper 2-coloring of the couple graph.  The search flips whole
+    components of one such coloring (`_search_colorings`) and returns the
+    first labeling that passes the inclusion-chain tests, in the orders
+    that sort its R and C sets into chains.  These orders are not the
+    lexicographically least ones.  A no, including an odd couple cycle,
+    carries an exhausted witness.
     """
-    if not m01.is_zero_one():
-        raise ValueError("matrix is not over {0, 1}")
-    nr, nc = m01.shape
-    E = m01.entries
-    row_one_count = [sum(1 for j in range(nc) if E[i][j] == ONE) for i in range(nr)]
-
-    for row_perm in itertools.permutations(range(nr)):
-        placed: list[int] = []
-        used = [False] * nc
-        placed_ones = [0] * nr  # per original row, 1s among placed columns
-
-        def closure():
-            grid = [[E[ri][cj] for cj in placed] for ri in row_perm]
-            extra = [row_one_count[ri] > placed_ones[ri] for ri in row_perm]
-            return _rc_closure(grid, extra)
-
-        def rec() -> Optional[dict]:
-            labels, conflict = closure()
-            if labels is None:
-                return None
-            if len(placed) == nc:
-                return labels
-            for cj in range(nc):
-                if used[cj]:
-                    continue
-                used[cj] = True
-                placed.append(cj)
-                for ri in range(nr):
-                    if E[ri][cj] == ONE:
-                        placed_ones[ri] += 1
-                found = rec()
-                if found is not None:
-                    return found
-                for ri in range(nr):
-                    if E[ri][cj] == ONE:
-                        placed_ones[ri] -= 1
-                placed.pop()
-                used[cj] = False
-            return None
-
-        labels = rec()
-        if labels is not None:
-            row_order = tuple(m01.rows[i] for i in row_perm)
-            col_order = tuple(m01.cols[j] for j in placed)
-            labeled = m01.permuted(row_order, col_order).relabeled(labels)
-            assert check_rc_valid(labeled)
-            return Certificate(
-                verdict=True,
-                kind=KIND_INTERVAL_BIGRAPH,
-                row_order=row_order,
-                col_order=col_order,
-                labeling=labeled,
-            )
+    graph = couple_graph(m01)
+    coloring, _ = two_color(graph)
+    labeled = None if coloring is None else _search_colorings(m01, graph, coloring)
+    if labeled is None:
+        return Certificate(
+            verdict=False, kind=KIND_INTERVAL_BIGRAPH, witness=exhausted_witness()
+        )
     return Certificate(
-        verdict=False, kind=KIND_INTERVAL_BIGRAPH, witness=exhausted_witness()
+        verdict=True,
+        kind=KIND_INTERVAL_BIGRAPH,
+        row_order=labeled.rows,
+        col_order=labeled.cols,
+        labeling=labeled,
     )
 
 

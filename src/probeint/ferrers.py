@@ -65,7 +65,8 @@ def is_ferrers(m01: LabeledMatrix) -> bool:
         raise ValueError("matrix is not over {0, 1}")
     by_inclusion = _ferrers_by_inclusion(m01)
     by_submatrix = _ferrers_by_submatrix(m01)
-    assert by_inclusion == by_submatrix, "Ferrers definitions disagree"
+    if by_inclusion != by_submatrix:
+        raise AssertionError("Ferrers definitions disagree")
     return by_inclusion
 
 
@@ -329,7 +330,8 @@ def probe_dim3_decomposition(g: Graph, probe_rep: dict) -> FerrersFactorization:
 
     m1 = augmented_adjacency(g1)
     cert = ferrers_dim_le_2(m1)
-    assert cert.verdict, "filled graph is interval, so its dimension is at most 2"
+    if not cert.verdict:
+        raise AssertionError("filled graph is interval, so its dimension is at most 2")
     two = decompose_two_ferrers(m1, cert.coloring)
 
     entries = tuple(

@@ -19,8 +19,11 @@ against the probe adjacency rule before being returned.  The qxl route runs
 the interval module's order search (`_search_quasi_linear`) and ones scan
 (`_scan_quasi_linear`) with the nonprobe pairs left neutral, and
 `verify_probe_rep` shares its body (`_verify_rep`) with
-`verify_interval_rep`.  char1 and char2 share the component-flip search,
-the chain-order leaf and the constructive pipeline.
+`verify_interval_rep`.  char1 and char2 run the R-C partition engine of
+`bigraphs` (`_search_colorings`, the component-flip search behind
+`find_rc_partition`): char1 adds the forbidden-pattern prune and a
+`scan_forbidden` leaf check, char2 searches the reduced graph and labels
+only its probe rows.  Both then share the constructive pipeline.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .bigraphs import (
+    _positions_by_label,
+    _search_colorings,
     check_rc_valid,
     diagonalize_with_method,
     intervals_from_diagonalized,
@@ -43,7 +48,7 @@ from .certificates import (
     exhausted_witness,
     odd_cycle_witness,
 )
-from .ferrers import _components, _is_chain, _one_masks, couple_graph, two_color
+from .ferrers import couple_graph, two_color
 from .graphs import Graph, augmented_adjacency, probe_bigraph
 from .intervals import (
     _require_symmetric_unit_diagonal,
@@ -118,7 +123,8 @@ def x_fill(m_qxl: LabeledMatrix) -> LabeledMatrix:
         cols=m_qxl.cols,
         entries=tuple(tuple(r_) for r_ in grid),
     )
-    assert out.is_symmetric()
+    if not out.is_symmetric():
+        raise AssertionError("x-filled matrix is not symmetric")
     return out
 
 
@@ -220,119 +226,6 @@ def scan_forbidden(m: LabeledMatrix, probes, nonprobes) -> Optional[tuple]:
     return None
 
 
-def _rc_partition(m01: LabeledMatrix, labeling: dict) -> Optional[LabeledMatrix]:
-    """The R-C matrix of a zero labeling in row and column orders that
-    realize it, or None when no orders do.
-
-    A labeling extends to a valid R-C partition iff the per-row R column
-    sets form a chain under inclusion and the per-column C row sets do too;
-    sorting columns by R membership count then makes every row's R set an
-    exact suffix, and likewise rows for the C sets.  The two conditions are
-    independent: R constrains only the column order, C only the row order.
-    """
-    nr, nc = m01.shape
-    r_rows = [0] * nr  # per row, the bitmask of its R columns
-    c_cols = [0] * nc  # per column, the bitmask of its C rows
-    for (i, j), col in labeling.items():
-        if col == R:
-            r_rows[i] |= 1 << j
-        elif col == C:
-            c_cols[j] |= 1 << i
-    if not (_is_chain(r_rows) and _is_chain(c_cols)):
-        return None
-    col_count = [sum(mask >> j & 1 for mask in r_rows) for j in range(nc)]
-    row_count = [sum(mask >> i & 1 for mask in c_cols) for i in range(nr)]
-    col_order = sorted(range(nc), key=lambda j: (col_count[j], j))
-    row_order = sorted(range(nr), key=lambda i: (row_count[i], i))
-    row_at = {i: k for k, i in enumerate(row_order)}
-    col_at = {j: k for k, j in enumerate(col_order)}
-    labeled = m01.permuted(
-        tuple(m01.rows[i] for i in row_order), tuple(m01.cols[j] for j in col_order)
-    ).relabeled({(row_at[i], col_at[j]): col for (i, j), col in labeling.items()})
-    assert check_rc_valid(labeled)
-    return labeled
-
-
-def _positions_by_label(m: LabeledMatrix) -> dict:
-    return {
-        (m.rows[i], m.cols[j]): (i, j)
-        for i in range(len(m.rows))
-        for j in range(len(m.cols))
-    }
-
-
-def _search_colorings(graph: dict, coloring: dict, pos_of: dict, prune, try_leaf):
-    """DFS over the component flips of a proper 2-coloring of `graph`.
-
-    Components are taken in the order of their least zero under `pos_of`,
-    and the base branch colors that zero R, so the search is lexicographic.
-    """
-    components = sorted(
-        (sorted(comp, key=pos_of.__getitem__) for comp in _components(graph)),
-        key=lambda comp: pos_of[comp[0]],
-    )
-    base_color = {
-        v: R if coloring[v] == coloring[comp[0]] else C
-        for comp in components
-        for v in comp
-    }
-    assigned: dict = {}
-
-    def rec(k: int):
-        if prune(assigned):
-            return None
-        if k == len(components):
-            return try_leaf(assigned)
-        for flip in (False, True):
-            for v in components[k]:
-                color = base_color[v]
-                if flip:
-                    color = C if color == R else R
-                assigned[v] = color
-            res = rec(k + 1)
-            if res is not None:
-                return res
-        for v in components[k]:
-            del assigned[v]
-        return None
-
-    return rec(0)
-
-
-def _definite_chain_conflict(one_masks: tuple, assigned_idx: dict) -> bool:
-    """True when a partial labeling can no longer satisfy the chain tests.
-
-    Two rows are permanently incomparable when each already has an R in a
-    column where the other is blocked (a 1, or a zero already marked C);
-    later assignments cannot remove either side.  Columns symmetrically,
-    with C and R swapped.  `one_masks` holds the bitmasks of the 1s per row
-    and per column.
-    """
-    one_rows, one_cols = one_masks
-    r_rows, c_rows = [0] * len(one_rows), [0] * len(one_rows)
-    r_cols, c_cols = [0] * len(one_cols), [0] * len(one_cols)
-    for (i, j), col in assigned_idx.items():
-        if col == R:
-            r_rows[i] |= 1 << j
-            r_cols[j] |= 1 << i
-        elif col == C:
-            c_rows[i] |= 1 << j
-            c_cols[j] |= 1 << i
-    return _crossing(r_rows, [o | c for o, c in zip(one_rows, c_rows)]) or _crossing(
-        c_cols, [o | r for o, r in zip(one_cols, r_cols)]
-    )
-
-
-def _crossing(marks: list[int], blocked: list[int]) -> bool:
-    """True iff two lines each have a mark where the other is blocked."""
-    n = len(marks)
-    return any(
-        marks[a] & blocked[b] and marks[b] & blocked[a]
-        for a in range(n)
-        for b in range(a + 1, n)
-    )
-
-
 def _probe_pipeline(
     g: Graph, labeled: LabeledMatrix, kind: str, route: str
 ) -> ProbeCertificate:
@@ -379,51 +272,31 @@ def recognize_char1(g: Graph) -> ProbeCertificate:
         )
 
     pos_of = _positions_by_label(m01)
-    one_masks = (_one_masks(m01), _one_masks(m01.transpose()))
-
-    pattern_triples = []
+    pattern_pairs = []
     for p in probe_names:
         for q in probe_names:
             if p == q:
                 continue
             if m01.entry(p, q) == ONE and m01.entry(q, p) == ONE:
                 for n_ in nonprobe_names:
-                    pattern_triples.append((pos_of[(p, n_)], pos_of[(q, n_)]))
+                    pattern_pairs.append((pos_of[(p, n_)], pos_of[(q, n_)]))
 
-    def prune(assigned: dict) -> bool:
-        assigned_idx = {pos_of[v]: col for v, col in assigned.items()}
-        for pn, qn in pattern_triples:
-            if assigned_idx.get(pn) == R and assigned_idx.get(qn) == C:
-                return True
-        return _definite_chain_conflict(one_masks, assigned_idx)
+    def has_pattern(labels: dict) -> bool:
+        return any(
+            labels.get(pn) == R and labels.get(qn) == C for pn, qn in pattern_pairs
+        )
 
-    def try_leaf(assigned: dict):
-        labeled = _rc_partition(m01, {pos_of[v]: col for v, col in assigned.items()})
-        if labeled is None:
-            return None
-        if scan_forbidden(labeled, probe_names, nonprobe_names) is not None:
-            return None
+    def pattern_free(labeled: LabeledMatrix) -> bool:
+        return scan_forbidden(labeled, probe_names, nonprobe_names) is None
+
+    labeled = _search_colorings(m01, graph, coloring, pos_of, has_pattern, pattern_free)
+    if labeled is not None:
         return _probe_pipeline(g, labeled, KIND_PROBE_CHAR1, ROUTE_CHAR1)
-
-    found = _search_colorings(graph, coloring, pos_of, prune, try_leaf)
-    if found is not None:
-        return found
-
-    # the no-answer also reports whether the bigraph alone was recognizable:
-    # rerun without the pattern checks, asking only for order-admission
-    def prune_chain_only(assigned: dict) -> bool:
-        assigned_idx = {pos_of[v]: col for v, col in assigned.items()}
-        return _definite_chain_conflict(one_masks, assigned_idx)
-
-    def admits_orders_leaf(assigned: dict):
-        labeling = {pos_of[v]: col for v, col in assigned.items()}
-        return True if _rc_partition(m01, labeling) is not None else None
-
-    bigraph_ok = _search_colorings(
-        graph, coloring, pos_of, prune_chain_only, admits_orders_leaf
-    )
+    # the no-answer also reports whether the bigraph alone was recognizable
     witness = exhausted_witness()
-    witness["interval_bigraph"] = bool(bigraph_ok)
+    witness["interval_bigraph"] = (
+        _search_colorings(m01, graph, coloring, pos_of) is not None
+    )
     return _probe_cert(g, KIND_PROBE_CHAR1, ROUTE_CHAR1, verdict=False, witness=witness)
 
 
@@ -556,40 +429,23 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
             witness=odd_cycle_witness(cycle),
         )
 
-    m01 = probe_bigraph(g)
-    aug = augmented_adjacency(g)
-    pos_of_aug = _positions_by_label(aug)
-    pos_of_b = _positions_by_label(m01)
-    one_masks = (_one_masks(m01), _one_masks(m01.transpose()))
-
+    # a probe-nonprobe zero and its mirror form a couple (both diagonal
+    # entries are 1), so they are colored apart under every component flip
     probe_set = set(probe_names)
+    for (u, v), col in coloring.items():
+        mirror = coloring.get((v, u))
+        if u in probe_set and v not in probe_set and mirror in (None, col):
+            raise AssertionError(f"zero {(u, v)} and its mirror are not colored apart")
 
-    def restrict(assigned: dict) -> dict:
-        out = {}
-        for (u, v), col in assigned.items():
-            if u in probe_set:
-                out[pos_of_b[(u, v)]] = col
-        return out
-
-    def prune(assigned: dict) -> bool:
-        return _definite_chain_conflict(one_masks, restrict(assigned))
-
-    def try_leaf(assigned: dict):
-        # mirror consistency: pn and np sit in one couple, so their colors
-        # are always opposite
-        for (u, v), col in assigned.items():
-            if u in probe_set and v not in probe_set:
-                mirror = assigned.get((v, u))
-                assert mirror is not None and mirror != col
-        labeled = _rc_partition(m01, restrict(assigned))
-        if labeled is None:
-            return None
-        assert scan_forbidden(labeled, probe_names, nonprobe_names) is None
-        return _probe_pipeline(g, labeled, KIND_PROBE_CHAR2, ROUTE_CHAR2)
-
-    found = _search_colorings(reduced, coloring, pos_of_aug, prune, try_leaf)
-    if found is not None:
-        return found
-    return _probe_cert(
-        g, KIND_PROBE_CHAR2, ROUTE_CHAR2, verdict=False, witness=exhausted_witness()
+    # the probe rows of the augmented matrix are the probes-by-vertices
+    # matrix, so the engine labels exactly the restriction to them
+    labeled = _search_colorings(
+        probe_bigraph(g), reduced, coloring, _positions_by_label(augmented_adjacency(g))
     )
+    if labeled is None:
+        return _probe_cert(
+            g, KIND_PROBE_CHAR2, ROUTE_CHAR2, verdict=False, witness=exhausted_witness()
+        )
+    if scan_forbidden(labeled, probe_names, nonprobe_names) is not None:
+        raise AssertionError("char2 partition carries the forbidden pattern")
+    return _probe_pipeline(g, labeled, KIND_PROBE_CHAR2, ROUTE_CHAR2)

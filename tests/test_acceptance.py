@@ -351,3 +351,28 @@ def test_criterion_7_nonprobe_interval_sanity(sweep):
         "their R/C rows",
         elapsed,
     )
+
+
+def test_char1_bigraph_flag_against_independent_truth(sweep):
+    # char1's exhausted no reports whether its probes-by-vertices matrix is
+    # an interval bigraph.  No n <= 5 instance ends that way, and at n = 6
+    # the matrix outgrows the oracle's 4x5, so a yes flag is checked by a
+    # verified representation and a no flag by the oracle.
+    checked = 0
+    for rec in sweep["records"]:
+        cert = rec.char1_cert
+        if cert.verdict or cert.witness["type"] != "exhausted":
+            continue
+        if not rec.graph.nonprobes:  # interval recognition, no flag
+            continue
+        m = probe_bigraph(rec.graph)
+        if cert.witness["interval_bigraph"]:
+            bigraph = is_interval_bigraph(m)
+            iv = BigraphIntervals(
+                rows=bigraph.row_intervals, cols=bigraph.col_intervals
+            )
+            assert bigraph.verdict and verify_bigraph_rep(m, iv)
+        else:
+            assert not bigraph_oracle(m)
+        checked += 1
+    assert checked == 3

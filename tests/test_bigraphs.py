@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -168,6 +169,14 @@ def test_rc_partition_no_instance_exists_3x3():
 def test_rc_partition_matches_oracle_4x4_classes():
     for m in matrix_class_representatives(4, 4):
         assert find_rc_partition(m).verdict == bigraph_oracle(m), m.entries
+
+
+def test_rc_partition_wider_than_recursion_limit():
+    # every zero of a single row is a couple graph component of its own
+    m = from_zero_one([[0] * (sys.getrecursionlimit() + 200)])
+    cert = find_rc_partition(m)
+    assert cert.verdict
+    assert check_rc_valid(cert.labeling)
 
 
 def test_rc_partition_matches_oracle_raw_3x3():
@@ -354,12 +363,7 @@ def test_pipeline_realizes_random_6x6_successes():
     rng = random.Random(1327)
     successes = 0
     while successes < 200:
-        rows = [_random_interval(rng) for _ in range(6)]
-        cols = [_random_interval(rng) for _ in range(6)]
-        data = [
-            [1 if max(rl, cl) <= min(rr, cr) else 0 for (cl, cr) in cols]
-            for (rl, rr) in rows
-        ]
+        data = _planted(rng, 6, 6)
         cert = is_interval_bigraph(from_zero_one(data))
         assert cert.verdict, data
         successes += 1
@@ -368,3 +372,44 @@ def test_pipeline_realizes_random_6x6_successes():
 def _random_interval(rng):
     l = rng.randint(1, 9)
     return l, l + rng.randint(0, 5)
+
+
+def _planted(rng, nr, nc):
+    """The 0/1 matrix of random row and column intervals."""
+    rows = [_random_interval(rng) for _ in range(nr)]
+    cols = [_random_interval(rng) for _ in range(nc)]
+    return [
+        [1 if max(rl, cl) <= min(rr, cr) else 0 for (cl, cr) in cols]
+        for (rl, rr) in rows
+    ]
+
+
+# ---------------------------------------------------------------------------
+# planted instances past the oracle's 4x5 range
+
+
+@pytest.mark.parametrize("nr, nc, seed", [(6, 8, 68), (8, 10, 810)])
+def test_pipeline_certifies_planted_models(nr, nc, seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        m = from_zero_one(_planted(rng, nr, nc))
+        cert = is_interval_bigraph(m)
+        assert cert.verdict, m.entries
+        assert check_rc_valid(cert.labeling)
+        diag = cert.diagonalized
+        assert strip_to(diag, cert.row_order, cert.col_order) == cert.labeling
+        iv = BigraphIntervals(rows=cert.row_intervals, cols=cert.col_intervals)
+        assert verify_bigraph_rep(m, iv)
+
+
+@pytest.mark.parametrize("k, block", [(3, (4, 5)), (4, (3, 4))])
+def test_planted_block_beside_long_cycle_is_no(k, block):
+    # a bipartite cycle C_2k with k >= 3 is no interval bigraph, so neither
+    # is any matrix holding it as a separate block; both cases are 7x8
+    br, bc = block
+    cycle = [[1 if j in (i, (i + 1) % k) else 0 for j in range(k)] for i in range(k)]
+    data = [row + [0] * k for row in _planted(random.Random(k), br, bc)]
+    data += [[0] * bc + row for row in cycle]
+    cert = is_interval_bigraph(from_zero_one(data))
+    assert not cert.verdict
+    assert cert.witness == {"type": "exhausted"}

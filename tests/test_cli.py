@@ -83,6 +83,14 @@ def test_bigraph_on_matrix(files, capsys):
     assert data["row_intervals"]["y1"] == [1, 3]
 
 
+def test_bigraph_no_on_c6_matrix(tmp_path, capsys):
+    # the biadjacency matrix of the bipartite 6-cycle
+    p = tmp_path / "c6.txt"
+    p.write_text("x1 x2 x3\ny1 1 1 0\ny2 0 1 1\ny3 1 0 1\n")
+    assert dispatch(["bigraph", str(p), "--output", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == {"type": "exhausted"}
+
+
 def test_bigraph_on_net_bigraph(tmp_path, net, capsys):
     p = tmp_path / "b.txt"
     p.write_text(matrix_to_text(probe_bigraph(net)))

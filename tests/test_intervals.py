@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from probeint import (
 )
 from probeint.matrices import from_zero_one
 from probeint.sweeps import graph_class_representatives
-from tests.conftest import run_python
+from tests.conftest import SRC, run_python
 
 
 def path(names):
@@ -128,6 +130,14 @@ def test_verify_failure_raises_under_optimize():
     assert "optimize 1" in proc.stdout
     assert proc.returncode != 0
     assert "AssertionError: interval representation failed verification" in proc.stderr
+
+
+def test_source_has_no_assert_statements():
+    # `python -O` strips assert statements, so every check in src/ must raise
+    for path in sorted(Path(SRC, "probeint").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert statements at lines {lines}"
 
 
 def test_caterpillars_are_interval():
