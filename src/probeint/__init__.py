@@ -12,7 +12,7 @@ from .bigraphs import (
     is_interval_bigraph,
     verify_bigraph_rep,
 )
-from .certificates import Certificate, ProbeCertificate
+from .certificates import Certificate, ProbeCertificate, VerificationError
 from .ferrers import (
     FerrersFactorization,
     couple_graph,
@@ -67,6 +67,7 @@ __all__ = [
     "LabeledMatrix",
     "LabelingConflict",
     "ProbeCertificate",
+    "VerificationError",
     "align_probe_columns",
     "augmented_adjacency",
     "bigraph_oracle",

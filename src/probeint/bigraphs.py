@@ -3,10 +3,10 @@
 A bipartite graph is an interval bigraph iff its biadjacency matrix admits
 row and column orders under which every 0 can be labeled R or C so that an
 R is followed only by R's in its row and a C only by C's in its column.
-Such a labeled matrix can be padded to a square "diagonalized" form with
-unit diagonal, every R strictly right of the diagonal and every C strictly
-below it; reading, per line, the span from the diagonal to the last 1 then
-yields an interval representation.
+Inserting rows and columns along its stair squares such a labeled matrix
+into a "diagonalized" form with unit diagonal, every R strictly right of
+the diagonal and every C strictly below it; reading, per line, the span
+from the diagonal to the last 1 then yields an interval representation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .certificates import KIND_INTERVAL_BIGRAPH, Certificate, exhausted_witness
+from .certificates import (
+    KIND_INTERVAL_BIGRAPH,
+    Certificate,
+    VerificationError,
+    exhausted_witness,
+)
 from .ferrers import _components, _is_chain, _one_masks, couple_graph, two_color
 from .matrices import C, ONE, R, X, ZERO, LabeledMatrix, strip_to
 
@@ -150,7 +155,7 @@ def forced_labeling(m01: LabeledMatrix, row_order: Sequence, col_order: Sequence
         raise LabelingConflict((p.rows[i], p.cols[j]))
     out = p.relabeled(labels)
     if not check_rc_valid(out):
-        raise AssertionError("forced labeling is not a valid R-C partition")
+        raise VerificationError("forced labeling is not a valid R-C partition")
     return out
 
 
@@ -196,7 +201,7 @@ def _rc_partition(m01: LabeledMatrix, labeling: dict) -> Optional[LabeledMatrix]
         tuple(m01.rows[i] for i in row_order), tuple(m01.cols[j] for j in col_order)
     ).relabeled({(row_at[i], col_at[j]): col for (i, j), col in labeling.items()})
     if not check_rc_valid(labeled):
-        raise AssertionError("chain-ordered labeling is not a valid R-C partition")
+        raise VerificationError("chain-ordered labeling is not a valid R-C partition")
     return labeled
 
 
@@ -241,18 +246,32 @@ def _search_colorings(
     lines = [({i for (i, _), _ in cs}, {j for (_, j), _ in cs}) for cs in cells]
     swap = {R: C, C: R}
     labels: dict = {}
+    nr, nc = m01.shape
+    # the labels as bitmasks: per row its R and C columns, per column its
+    # R and C rows, kept up to date as components are painted and cleared
+    marks = {R: ([0] * nr, [0] * nc), C: ([0] * nr, [0] * nc)}
     flips: list = []  # the branch taken at each component so far
 
     def paint(k: int, flip: bool) -> None:
-        for cell, color in cells[k]:
-            labels[cell] = swap[color] if flip else color
+        for (i, j), color in cells[k]:
+            color = swap[color] if flip else color
+            labels[(i, j)] = color
+            by_row, by_col = marks[color]
+            by_row[i] |= 1 << j
+            by_col[j] |= 1 << i
+
+    def clear(k: int) -> None:
+        for (i, j), _ in cells[k]:
+            by_row, by_col = marks[labels.pop((i, j))]
+            by_row[i] &= ~(1 << j)
+            by_col[j] &= ~(1 << i)
 
     # a loop, not recursion: every isolated zero is a component of its own,
     # so the depth reaches the number of zeros
     while True:
         k = len(flips)  # components 0 .. k - 1 are labeled
         cut = (prune is not None and prune(labels)) or (
-            k > 0 and _definite_chain_conflict(one_masks, labels, *lines[k - 1])
+            k > 0 and _definite_chain_conflict(one_masks, marks, *lines[k - 1])
         )
         if not cut and k < len(cells):
             paint(k, False)
@@ -264,44 +283,38 @@ def _search_colorings(
                 return labeled
         while flips and flips[-1]:
             flips.pop()
-            for cell, _ in cells[len(flips)]:
-                del labels[cell]
+            clear(len(flips))
         if not flips:
             return None
+        clear(len(flips) - 1)
         flips[-1] = True
         paint(len(flips) - 1, True)
 
 
-def _definite_chain_conflict(one_masks: tuple, labels: dict, rows, cols) -> bool:
+def _definite_chain_conflict(one_masks: tuple, marks: dict, rows, cols) -> bool:
     """True when a partial labeling can no longer satisfy the chain tests.
 
     Two rows are permanently incomparable when each already has an R in a
     column where the other is blocked (a 1, or a zero already marked C);
     later assignments cannot remove either side.  Columns symmetrically,
     with C and R swapped.  `one_masks` holds the bitmasks of the 1s per row
-    and per column.  Only pairs holding one of `rows` (or `cols`), the
-    lines labeled last, are tested: the labeling before them had no pair.
+    and per column, `marks` those of the R and the C labels.  Only pairs
+    holding one of `rows` (or `cols`), the lines labeled last, are tested:
+    the labeling before them had no pair.
     """
     one_rows, one_cols = one_masks
-    r_rows, c_rows = [0] * len(one_rows), [0] * len(one_rows)
-    r_cols, c_cols = [0] * len(one_cols), [0] * len(one_cols)
-    for (i, j), col in labels.items():
-        if col == R:
-            r_rows[i] |= 1 << j
-            r_cols[j] |= 1 << i
-        elif col == C:
-            c_rows[i] |= 1 << j
-            c_cols[j] |= 1 << i
-    return _crossing(
-        r_rows, [o | c for o, c in zip(one_rows, c_rows)], rows
-    ) or _crossing(c_cols, [o | r for o, r in zip(one_cols, r_cols)], cols)
+    (r_rows, r_cols), (c_rows, c_cols) = marks[R], marks[C]
+    return _crossing(r_rows, one_rows, c_rows, rows) or _crossing(
+        c_cols, one_cols, r_cols, cols
+    )
 
 
-def _crossing(marks: list[int], blocked: list[int], lines) -> bool:
+def _crossing(marks: list[int], ones: list[int], other: list[int], lines) -> bool:
     """True iff one of `lines` and another line each have a mark where the
-    other is blocked.  No line has a mark where it is itself blocked."""
+    other is blocked, by a 1 or by a mark of the `other` label.  No line has
+    a mark where it is itself blocked."""
     return any(
-        marks[a] & blocked[b] and marks[b] & blocked[a]
+        marks[a] & (ones[b] | other[b]) and marks[b] & (ones[a] | other[a])
         for a in lines
         for b in range(len(marks))
     )
@@ -434,78 +447,7 @@ def _diagonalize_interleave(m: LabeledMatrix) -> LabeledMatrix:
             placed_rows.add(ri)
             ri += 1
         else:
-            raise AssertionError("stair interleaving blocked on a valid R-C matrix")
-
-    def entry_at(i: int, j: int) -> str:
-        oi = out_rows[i][1]
-        oj = out_cols[j][1]
-        if oi is not None and oj is not None:
-            return m.entries[oi][oj]
-        if i == j:
-            return ONE
-        return X
-
-    return _resolve_x([r_ for r_, _ in out_rows], [c_ for c_, _ in out_cols], entry_at)
-
-
-def _diagonalize_padded(m: LabeledMatrix) -> LabeledMatrix:
-    """Square the matrix by full padding: rows + cols lines on each side.
-
-    Inserts one row per original column and one column per original row,
-    placed along the steps of the label stair (first-R spans for rows,
-    first-C spans for columns), so the result has order rows + cols.
-    """
-    nr, nc = m.shape
-    first_r = []
-    for i in range(nr):
-        pos = nc
-        for j in range(nc):
-            if m.entries[i][j] == R:
-                pos = j
-                break
-        first_r.append(pos)
-    kappa = [0] * nr  # 0-based first column at/after which row i's R side lives
-    running = nc
-    for i in range(nr - 1, -1, -1):
-        running = min(running, first_r[i])
-        kappa[i] = running
-    first_c = []
-    for j in range(nc):
-        pos = nr
-        for i in range(nr):
-            if m.entries[i][j] == C:
-                pos = i
-                break
-        first_c.append(pos)
-    lam = [0] * nc
-    running = nr
-    for j in range(nc - 1, -1, -1):
-        running = min(running, first_c[j])
-        lam[j] = running
-
-    taken = set(m.rows) | set(m.cols)
-    new_rows = iter(_fresh_labels("+r", nc, taken))
-    new_cols = iter(_fresh_labels("+c", nr, taken))
-
-    out_rows: list = []
-    prev = 0
-    for i in range(nr):
-        for _ in range(kappa[i] - prev):
-            out_rows.append((next(new_rows), None))
-        out_rows.append((m.rows[i], i))
-        prev = kappa[i]
-    for _ in range(nc - prev):
-        out_rows.append((next(new_rows), None))
-
-    out_cols: list = []
-    prev = 0
-    for j in range(nc):
-        for _ in range(lam[j] - prev):
-            out_cols.append((next(new_cols), None))
-        out_cols.append((m.cols[j], j))
-        prev = lam[j]
-    for _ in range(nr - prev):
-        out_cols.append((next(new_cols), None))
+            raise VerificationError("stair interleaving blocked on a valid R-C matrix")
 
     def entry_at(i: int, j: int) -> str:
         oi = out_rows[i][1]
@@ -546,35 +488,23 @@ def _check_diagonalization(diag: LabeledMatrix, original: LabeledMatrix) -> bool
     return strip_to(diag, original.rows, original.cols) == original
 
 
-def diagonalize_with_method(m: LabeledMatrix, method: str = "auto"):
-    """Diagonalize a valid R-C matrix; returns (matrix, method used)."""
+def diagonalize_with_method(m: LabeledMatrix):
+    """Diagonalize a valid R-C matrix; returns (matrix, "interleave")."""
     if not check_rc_valid(m):
         raise ValueError("matrix is not a valid R-C partition")
-    if method not in ("auto", "interleave", "padded"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "interleave"):
-        try:
-            out = _diagonalize_interleave(m)
-            if _check_diagonalization(out, m):
-                return out, "interleave"
-            if method == "interleave":
-                raise AssertionError("interleave diagonalization failed its postcheck")
-        except AssertionError:
-            if method == "interleave":
-                raise
-    out = _diagonalize_padded(m)
+    out = _diagonalize_interleave(m)
     if not _check_diagonalization(out, m):
-        raise AssertionError("padded diagonalization failed its postcheck")
-    return out, "padded"
+        raise VerificationError("interleave diagonalization failed its postcheck")
+    return out, "interleave"
 
 
-def diagonalize(m: LabeledMatrix, method: str = "auto") -> LabeledMatrix:
+def diagonalize(m: LabeledMatrix) -> LabeledMatrix:
     """Pad a valid R-C matrix to diagonalized square form.
 
     The inserted rows and columns carry fresh '+r'/'+c' labels, so deleting
     them recovers the input exactly.
     """
-    out, _ = diagonalize_with_method(m, method)
+    out, _ = diagonalize_with_method(m)
     return out
 
 
@@ -644,7 +574,7 @@ def is_interval_bigraph(m01: LabeledMatrix) -> Certificate:
         cols={c_: all_iv.cols[c_] for c_ in m01.cols},
     )
     if not verify_bigraph_rep(m01, intervals):
-        raise AssertionError("bigraph representation failed verification")
+        raise VerificationError("bigraph representation failed verification")
     return Certificate(
         verdict=True,
         kind=KIND_INTERVAL_BIGRAPH,

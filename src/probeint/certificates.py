@@ -30,6 +30,13 @@ ROUTE_CHAR1 = "char1"
 ROUTE_CHAR2 = "char2"
 
 
+class VerificationError(AssertionError):
+    """A yes-answer failed the check it must pass before it is returned.
+
+    Raised explicitly, so the check holds under `python -O` as well.
+    """
+
+
 def exhausted_witness() -> dict:
     return {"type": "exhausted"}
 
@@ -56,7 +63,7 @@ class Certificate:
     row_intervals: Optional[dict] = None   # bigraph row vertex -> (l, r)
     col_intervals: Optional[dict] = None   # bigraph column vertex -> (l, r)
     witness: Optional[dict] = None         # negative evidence
-    method: Optional[str] = None           # e.g. diagonalization variant
+    method: Optional[str] = None           # diagonalization used: "interleave"
     coloring: Optional[dict] = None        # zero position -> "R"/"C"
     diagonalized: Optional[LabeledMatrix] = None
     factorization: Optional[object] = None  # FerrersFactorization

@@ -22,13 +22,12 @@ import sys
 from . import io
 from .bigraphs import (
     check_rc_valid,
-    diagonalize_with_method,
+    diagonalize,
     find_rc_partition,
     intervals_from_diagonalized,
     is_interval_bigraph,
 )
-from .certificates import Certificate
-from .ferrers import ferrers_dim_le_2, decompose_two_ferrers, interval_iff_dim2, probe_dim3_decomposition
+from .ferrers import _dim2_certificate, interval_iff_dim2, probe_dim3_decomposition
 from .graphs import Graph
 from .intervals import is_interval_graph
 from .matrices import LabeledMatrix
@@ -117,9 +116,7 @@ def _cmd_diagonalize(args) -> int:
     if labeled is None:
         sys.stderr.write("no R-C partition exists\n")
         return 1
-    diag, method = diagonalize_with_method(labeled, args.method)
-    sys.stdout.write(io.matrix_to_text(diag))
-    sys.stderr.write(f"method: {method}\n")
+    sys.stdout.write(io.matrix_to_text(diagonalize(labeled)))
     return 0
 
 
@@ -177,15 +174,7 @@ def _cmd_ferrers(args) -> int:
     if isinstance(obj, Graph):
         cert = interval_iff_dim2(obj)
     else:
-        cert = ferrers_dim_le_2(_need_matrix(obj))
-        if cert.verdict:
-            fact = decompose_two_ferrers(obj, cert.coloring)
-            cert = Certificate(
-                verdict=True,
-                kind=cert.kind,
-                coloring=cert.coloring,
-                factorization=fact,
-            )
+        cert = _dim2_certificate(_need_matrix(obj))
     _emit(cert, args)
     return 0 if cert.verdict else 1
 
@@ -275,12 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagonalize", help="diagonalize an R-C matrix")
     add_io(p)
-    p.add_argument(
-        "--method",
-        choices=("auto", "interleave", "padded"),
-        default="auto",
-        help="insertion strategy",
-    )
     p.set_defaults(fn=_cmd_diagonalize)
 
     p = sub.add_parser("represent", help="interval representation of a bigraph")

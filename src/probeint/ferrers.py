@@ -1,7 +1,8 @@
 """Ferrers bigraphs, couple graphs and low Ferrers-dimension decompositions.
 
-A Ferrers bigraph has vertex neighborhoods linearly ordered by inclusion;
-equivalently its biadjacency matrix contains no 2x2 permutation submatrix.
+A Ferrers bigraph has vertex neighborhoods linearly ordered by inclusion,
+which is the one test used here; equivalently its biadjacency matrix
+contains no 2x2 permutation submatrix (`oracles.ferrers_oracle`).
 Two zeros forming such a submatrix are a couple, and the graph on zero
 positions whose edges are couples is bipartite exactly when the bigraph is
 an intersection of two Ferrers bigraphs.  For the square matrix pairing a
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from .certificates import (
     KIND_FERRERS_DIM,
     Certificate,
+    VerificationError,
     odd_cycle_witness,
 )
 from .graphs import Graph, augmented_adjacency, symmetric_bigraph
@@ -34,40 +36,11 @@ def _is_chain(masks: list[int]) -> bool:
     return all(a & ~b == 0 for a, b in zip(ordered, ordered[1:]))
 
 
-def _ferrers_by_inclusion(m01: LabeledMatrix) -> bool:
-    return _is_chain(_one_masks(m01))
-
-
-def _ferrers_by_submatrix(m01: LabeledMatrix) -> bool:
-    # literal scan for a 2x2 permutation submatrix
-    nr, nc = m01.shape
-    for i in range(nr):
-        for k in range(nr):
-            if i == k:
-                continue
-            for j in range(nc):
-                for l in range(nc):
-                    if j == l:
-                        continue
-                    if (
-                        m01.entries[i][j] == ONE
-                        and m01.entries[k][l] == ONE
-                        and m01.entries[i][l] == ZERO
-                        and m01.entries[k][j] == ZERO
-                    ):
-                        return False
-    return True
-
-
 def is_ferrers(m01: LabeledMatrix) -> bool:
-    """Evaluate both definitions; they must agree."""
+    """True iff the rows' sets of 1s are linearly ordered by inclusion."""
     if not m01.is_zero_one():
         raise ValueError("matrix is not over {0, 1}")
-    by_inclusion = _ferrers_by_inclusion(m01)
-    by_submatrix = _ferrers_by_submatrix(m01)
-    if by_inclusion != by_submatrix:
-        raise AssertionError("Ferrers definitions disagree")
-    return by_inclusion
+    return _is_chain(_one_masks(m01))
 
 
 def couple_graph(m01: LabeledMatrix) -> dict:
@@ -197,26 +170,6 @@ class FerrersFactorization:
         )
 
 
-def _complement_factor(m01: LabeledMatrix, coloring: dict, color: str) -> LabeledMatrix:
-    """All-ones matrix with 0 exactly at the zeros carrying `color`.
-
-    Isolated zero vertices (color "I") are placed in both factors.
-    """
-    nr, nc = m01.shape
-    entries = []
-    for i in range(nr):
-        row = []
-        for j in range(nc):
-            key = (m01.rows[i], m01.cols[j])
-            assigned = coloring.get(key)
-            if assigned == color or assigned == "I":
-                row.append(ZERO)
-            else:
-                row.append(ONE)
-        entries.append(tuple(row))
-    return from_rows(m01.rows, m01.cols, entries)
-
-
 def _components(graph: dict) -> list[list]:
     comps: list[list] = []
     for u, _, new in _bfs(graph):
@@ -262,26 +215,41 @@ def decompose_two_ferrers(m01: LabeledMatrix, coloring: dict) -> FerrersFactoriz
     for flips in range(1 << len(comps)):
         f1_masks = list(ones)
         f2_masks = list(ones)
-        assigned = {}
         for u, base_color in base.items():
             i, j = row_of[u[0]], col_of[u[1]]
             color = base_color
             if base_color != "I" and flips >> comp_of[u] & 1:
                 color = "C" if base_color == "R" else "R"
-            assigned[u] = color
             if color == "R":
                 f2_masks[i] |= 1 << j  # this zero belongs to F1 only
             elif color == "C":
                 f1_masks[i] |= 1 << j  # this zero belongs to F2 only
             # "I" zeros stay 0 in both factors
         if _is_chain(f1_masks) and _is_chain(f2_masks):
-            f1 = _complement_factor(m01, assigned, "R")
-            f2 = _complement_factor(m01, assigned, "C")
-            fact = FerrersFactorization(factors=(f1, f2), target=m01)
+            factors = tuple(_from_masks(m01, masks) for masks in (f1_masks, f2_masks))
+            fact = FerrersFactorization(factors=factors, target=m01)
             if not fact.validate():
-                raise AssertionError("two-factor decomposition failed validation")
+                raise VerificationError("two-factor decomposition failed validation")
             return fact
-    raise AssertionError("no component flip yields two Ferrers factors")
+    raise VerificationError("no component flip yields two Ferrers factors")
+
+
+def _from_masks(m01: LabeledMatrix, masks: list[int]) -> LabeledMatrix:
+    """The 0/1 matrix over m01's lines whose rows hold 1s at `masks`."""
+    cols = range(len(m01.cols))
+    entries = [[ONE if mask >> j & 1 else ZERO for j in cols] for mask in masks]
+    return from_rows(m01.rows, m01.cols, entries)
+
+
+def _dim2_certificate(m01: LabeledMatrix) -> Certificate:
+    """`ferrers_dim_le_2`, with a verified two-factor decomposition on yes."""
+    cert = ferrers_dim_le_2(m01)
+    if not cert.verdict:
+        return cert
+    fact = decompose_two_ferrers(m01, cert.coloring)
+    return Certificate(
+        verdict=True, kind=KIND_FERRERS_DIM, coloring=cert.coloring, factorization=fact
+    )
 
 
 def interval_iff_dim2(g: Graph) -> Certificate:
@@ -290,14 +258,7 @@ def interval_iff_dim2(g: Graph) -> Certificate:
     Yes exactly when the graph is an interval graph; the certificate then
     carries a verified two-factor decomposition.
     """
-    m = augmented_adjacency(g)
-    cert = ferrers_dim_le_2(m)
-    if not cert.verdict:
-        return cert
-    fact = decompose_two_ferrers(m, cert.coloring)
-    return Certificate(
-        verdict=True, kind=KIND_FERRERS_DIM, coloring=cert.coloring, factorization=fact
-    )
+    return _dim2_certificate(augmented_adjacency(g))
 
 
 def probe_dim3_decomposition(g: Graph, probe_rep: dict) -> FerrersFactorization:
@@ -329,10 +290,11 @@ def probe_dim3_decomposition(g: Graph, probe_rep: dict) -> FerrersFactorization:
     g1 = g.with_extra_edges(fill)
 
     m1 = augmented_adjacency(g1)
-    cert = ferrers_dim_le_2(m1)
-    if not cert.verdict:
-        raise AssertionError("filled graph is interval, so its dimension is at most 2")
-    two = decompose_two_ferrers(m1, cert.coloring)
+    two = _dim2_certificate(m1)
+    if not two.verdict:
+        raise VerificationError(
+            "filled graph is interval, so its dimension is at most 2"
+        )
 
     entries = tuple(
         tuple(
@@ -344,7 +306,8 @@ def probe_dim3_decomposition(g: Graph, probe_rep: dict) -> FerrersFactorization:
     f3 = from_rows(g.vertex_names, g.vertex_names, entries)
 
     target = symmetric_bigraph(g, probe_loops_only=True)
-    fact = FerrersFactorization(factors=two.factors + (f3,), target=target)
+    factors = two.factorization.factors + (f3,)
+    fact = FerrersFactorization(factors=factors, target=target)
     if not fact.validate():
-        raise AssertionError("three-factor decomposition failed validation")
+        raise VerificationError("three-factor decomposition failed validation")
     return fact

@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .certificates import KIND_INTERVAL, Certificate, exhausted_witness
+from .certificates import (
+    KIND_INTERVAL,
+    Certificate,
+    VerificationError,
+    exhausted_witness,
+)
 from .graphs import Graph, augmented_adjacency
 from .matrices import ONE, X, LabeledMatrix
 
@@ -69,36 +74,37 @@ def _search_quasi_linear(
     n = len(ones)
     placed: list[int] = []
     gap: list[bool] = []  # gap[k]: row placed[k] has a 0 right of its diagonal
+    opened: list[list[int]] = []  # per placed vertex, the gaps it opened
+    blocked = [0] * n  # per vertex, the rows with a gap that hold it as a 1
     used = [False] * n
-
-    def extend() -> bool:
-        if len(placed) == n:
-            return True
-        for v in range(n):
-            if used[v]:
-                continue
-            ok = True
-            for k, u in enumerate(placed):
-                if gap[k] and v in ones[u]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            used[v] = True
-            old_gap = gap.copy()
-            for k in range(len(placed)):
-                if not gap[k] and v in zeros[placed[k]]:
-                    gap[k] = True
-            placed.append(v)
-            gap.append(False)
-            if extend():
-                return True
-            placed.pop()
-            gap[:] = old_gap
+    start = 0  # the least candidate not yet tried at this depth
+    # a loop, not recursion: the depth reaches the number of vertices
+    while len(placed) < n:
+        for v in range(start, n):
+            if not (used[v] or blocked[v]):
+                break
+        else:  # no vertex fits: take back the last one and try its successors
+            if not placed:
+                return None
+            v = placed.pop()
+            gap.pop()
+            for k in opened.pop():
+                gap[k] = False
+                for w in ones[placed[k]]:
+                    blocked[w] -= 1
             used[v] = False
-        return False
-
-    return placed if extend() else None
+            start = v + 1
+            continue
+        used[v] = True
+        opened.append([k for k, u in enumerate(placed) if not gap[k] and v in zeros[u]])
+        for k in opened[-1]:
+            gap[k] = True
+            for w in ones[placed[k]]:
+                blocked[w] += 1
+        placed.append(v)
+        gap.append(False)
+        start = 0
+    return placed
 
 
 def find_quasi_linear_order(m: LabeledMatrix) -> Certificate:
@@ -168,7 +174,7 @@ def is_interval_graph(g: Graph) -> Certificate:
         return cert
     intervals = intervals_from_quasi_linear(m, cert.order)
     if not verify_interval_rep(g, intervals):
-        raise AssertionError("interval representation failed verification")
+        raise VerificationError("interval representation failed verification")
     return Certificate(
         verdict=True, kind=KIND_INTERVAL, order=cert.order, intervals=intervals
     )

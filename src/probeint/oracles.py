@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .graphs import Graph
-from .matrices import ONE, LabeledMatrix
+from .matrices import ONE, ZERO, LabeledMatrix
 
 MAX_ENUM_N = 7
 MAX_ORACLE_N = 8
@@ -189,6 +189,28 @@ def bigraph_oracle(m01: LabeledMatrix) -> bool:
             if orders_ok(rows, cols):
                 return True
     return False
+
+
+def ferrers_oracle(m01: LabeledMatrix) -> bool:
+    """Ferrers test by the submatrix definition: no two rows and two
+    columns meet in a 2x2 permutation matrix.  A literal O(r^2 c^2) scan."""
+    if not m01.is_zero_one():
+        raise ValueError("matrix is not over {0, 1}")
+    nr, nc = m01.shape
+    e = m01.entries
+    for i in range(nr):
+        for k in range(nr):
+            for j in range(nc):
+                for l in range(nc):
+                    # i == k or j == l cannot match: an entry is not 1 and 0
+                    if (
+                        e[i][j] == ONE
+                        and e[k][l] == ONE
+                        and e[i][l] == ZERO
+                        and e[k][j] == ZERO
+                    ):
+                        return False
+    return True
 
 
 def interval_split_check(g: Graph) -> bool:

@@ -34,7 +34,7 @@ from .bigraphs import (
     _positions_by_label,
     _search_colorings,
     check_rc_valid,
-    diagonalize_with_method,
+    diagonalize,
     intervals_from_diagonalized,
 )
 from .certificates import (
@@ -45,6 +45,7 @@ from .certificates import (
     ROUTE_CHAR2,
     ROUTE_QXL,
     ProbeCertificate,
+    VerificationError,
     exhausted_witness,
     odd_cycle_witness,
 )
@@ -56,7 +57,6 @@ from .intervals import (
     _search_quasi_linear,
     _verify_rep,
     intervals_from_quasi_linear,
-    is_interval_graph,
 )
 from .matrices import C, ONE, R, X, ZERO, LabeledMatrix
 
@@ -124,7 +124,7 @@ def x_fill(m_qxl: LabeledMatrix) -> LabeledMatrix:
         entries=tuple(tuple(r_) for r_ in grid),
     )
     if not out.is_symmetric():
-        raise AssertionError("x-filled matrix is not symmetric")
+        raise VerificationError("x-filled matrix is not symmetric")
     return out
 
 
@@ -136,39 +136,14 @@ def _probe_cert(g: Graph, kind: str, route: str, **evidence) -> ProbeCertificate
     )
 
 
-def _trivial_certificate(g: Graph, kind: str, route: str) -> Optional[ProbeCertificate]:
-    """Shortcuts for degenerate instances; None when the full route must run.
-
-    Raises when g has no nonprobe set.  An empty nonprobe set reduces to
-    interval recognition.  An empty probe set forces an edgeless graph (the
-    nonprobes are independent), which is trivially a probe interval graph.
-    """
+def _require_nonprobes(g: Graph) -> None:
     if g.nonprobes is None:
         raise ValueError("graph has no nonprobe set")
-    if not g.nonprobes:
-        cert = is_interval_graph(g)
-        return _probe_cert(
-            g,
-            kind,
-            route,
-            verdict=cert.verdict,
-            order=cert.order,
-            intervals=cert.intervals,
-            witness=cert.witness,
-        )
-    if len(g.nonprobes) == g.n:
-        intervals = {g.vertex_names[v]: (v + 1, v + 1) for v in range(g.n)}
-        if not verify_probe_rep(g, intervals):
-            raise AssertionError("edgeless representation failed verification")
-        return _probe_cert(g, kind, route, verdict=True, intervals=intervals)
-    return None
 
 
 def recognize_qxl(g: Graph) -> ProbeCertificate:
     """Probe interval recognition by quasi-x-linear order search."""
-    shortcut = _trivial_certificate(g, KIND_QXL, ROUTE_QXL)
-    if shortcut is not None:
-        return shortcut
+    _require_nonprobes(g)
 
     ones = [set(g.neighbors(u)) for u in range(g.n)]
     zeros = [set(range(g.n)) - ones[u] - {u} for u in range(g.n)]
@@ -186,7 +161,7 @@ def recognize_qxl(g: Graph) -> ProbeCertificate:
     filled = x_fill(marked.permuted(order, order))
     intervals = intervals_from_quasi_linear(filled, filled.rows)
     if not verify_probe_rep(g, intervals):
-        raise AssertionError("qxl representation failed verification")
+        raise VerificationError("qxl representation failed verification")
     return _probe_cert(
         g, KIND_QXL, ROUTE_QXL, verdict=True, order=order, intervals=intervals
     )
@@ -194,8 +169,7 @@ def recognize_qxl(g: Graph) -> ProbeCertificate:
 
 def verify_probe_rep(g: Graph, intervals: dict) -> bool:
     """Adjacency iff intervals intersect and at least one endpoint is a probe."""
-    if g.nonprobes is None:
-        raise ValueError("graph has no nonprobe set")
+    _require_nonprobes(g)
     return _verify_rep(g, intervals, g.nonprobes)
 
 
@@ -253,9 +227,7 @@ def recognize_char1(g: Graph) -> ProbeCertificate:
     avoid the forbidden pattern.  The first surviving labeling is turned
     into a verified representation.
     """
-    shortcut = _trivial_certificate(g, KIND_PROBE_CHAR1, ROUTE_CHAR1)
-    if shortcut is not None:
-        return shortcut
+    _require_nonprobes(g)
     nonprobe_names = tuple(sorted(g.vertex_names[v] for v in g.nonprobes))
     probe_names = tuple(g.vertex_names[p] for p in g.probes)
 
@@ -334,9 +306,9 @@ def align_probe_columns(m: LabeledMatrix) -> LabeledMatrix:
             cols.insert(cols.index(p) + 1, q)
             current = current.permuted(current.rows, cols)
             if not check_rc_valid(current):
-                raise AssertionError("column shift broke the R-C partition")
+                raise VerificationError("column shift broke the R-C partition")
             if scan_forbidden(current, probes, nonprobes) is not None:
-                raise AssertionError("column shift introduced the forbidden pattern")
+                raise VerificationError("column shift introduced the forbidden pattern")
     return current
 
 
@@ -355,8 +327,7 @@ def probe_representation(m_aligned: LabeledMatrix, g: Optional[Graph] = None) ->
     if [c_ for c_ in m_aligned.cols if c_ in probe_set] != probes:
         raise ValueError("probe columns are not aligned with the rows")
 
-    diag, _ = diagonalize_with_method(m_aligned)
-    iv = intervals_from_diagonalized(diag)
+    iv = intervals_from_diagonalized(diagonalize(m_aligned))
 
     assignment: dict = {}
     for p in probes:
@@ -371,13 +342,13 @@ def probe_representation(m_aligned: LabeledMatrix, g: Optional[Graph] = None) ->
         left = max(r_ends) + 1 if r_ends else 0
         right = min(c_starts) - 1 if c_starts else sentinel
         if left > right:
-            raise AssertionError(
+            raise VerificationError(
                 f"nonprobe interval for {n_} is empty: [{left}, {right}]"
             )
         assignment[n_] = (left, right)
 
     if g is not None and not verify_probe_rep(g, assignment):
-        raise AssertionError("probe representation failed verification")
+        raise VerificationError("probe representation failed verification")
     return assignment
 
 
@@ -388,8 +359,7 @@ def probe_representation(m_aligned: LabeledMatrix, g: Optional[Graph] = None) ->
 def reduced_associated_graph(g: Graph) -> dict:
     """Couple graph of the augmented adjacency matrix minus the vertices
     sitting in the nonprobe-by-nonprobe square."""
-    if g.nonprobes is None:
-        raise ValueError("graph has no nonprobe set")
+    _require_nonprobes(g)
     nonprobe_names = {g.vertex_names[v] for v in g.nonprobes}
     full = couple_graph(augmented_adjacency(g))
     dropped = {
@@ -412,9 +382,7 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
     carry the forbidden pattern (the pattern's nonprobe column would close
     a couple with equal colors), so the same constructive pipeline applies.
     """
-    shortcut = _trivial_certificate(g, KIND_PROBE_CHAR2, ROUTE_CHAR2)
-    if shortcut is not None:
-        return shortcut
+    _require_nonprobes(g)
     nonprobe_names = tuple(sorted(g.vertex_names[v] for v in g.nonprobes))
     probe_names = tuple(g.vertex_names[p] for p in g.probes)
 
@@ -435,7 +403,9 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
     for (u, v), col in coloring.items():
         mirror = coloring.get((v, u))
         if u in probe_set and v not in probe_set and mirror in (None, col):
-            raise AssertionError(f"zero {(u, v)} and its mirror are not colored apart")
+            raise VerificationError(
+                f"zero {(u, v)} and its mirror are not colored apart"
+            )
 
     # the probe rows of the augmented matrix are the probes-by-vertices
     # matrix, so the engine labels exactly the restriction to them
@@ -447,5 +417,5 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
             g, KIND_PROBE_CHAR2, ROUTE_CHAR2, verdict=False, witness=exhausted_witness()
         )
     if scan_forbidden(labeled, probe_names, nonprobe_names) is not None:
-        raise AssertionError("char2 partition carries the forbidden pattern")
+        raise VerificationError("char2 partition carries the forbidden pattern")
     return _probe_pipeline(g, labeled, KIND_PROBE_CHAR2, ROUTE_CHAR2)

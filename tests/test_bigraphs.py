@@ -209,14 +209,6 @@ def test_diagonalize_trivial():
     assert diagonalize(m) == m
 
 
-def test_diagonalize_padded_is_rows_plus_cols(bigraph_a):
-    cert = find_rc_partition(bigraph_a)
-    diag, method = diagonalize_with_method(cert.labeling, method="padded")
-    assert method == "padded"
-    assert diag.shape == (8, 8)
-    assert strip_to(diag, bigraph_a.rows, bigraph_a.cols) == cert.labeling
-
-
 def test_diagonalize_postconditions_all_small_classes():
     for nr in range(1, 5):
         for nc in range(1, 5):
@@ -224,14 +216,13 @@ def test_diagonalize_postconditions_all_small_classes():
                 cert = find_rc_partition(m)
                 if not cert.verdict:
                     continue
-                for method in ("interleave", "padded"):
-                    diag, _ = diagonalize_with_method(cert.labeling, method=method)
-                    assert is_diagonalized(diag)
-                    assert check_rc_valid(diag)
-                    assert (
-                        strip_to(diag, cert.labeling.rows, cert.labeling.cols)
-                        == cert.labeling
-                    )
+                diag, _ = diagonalize_with_method(cert.labeling)
+                assert is_diagonalized(diag)
+                assert check_rc_valid(diag)
+                assert (
+                    strip_to(diag, cert.labeling.rows, cert.labeling.cols)
+                    == cert.labeling
+                )
 
 
 def test_diagonalize_rejects_invalid():

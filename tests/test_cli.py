@@ -108,6 +108,9 @@ def test_diagonalize_prints_matrix(files, capsys):
     assert dispatch(["diagonalize", files["a.txt"]]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].split() == ["x1", "x2", "x3", "x4", "+c1", "x5"]
+    # one diagonalization: no method to choose
+    assert dispatch(["diagonalize", files["a.txt"], "--method", "padded"]) == 2
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 def test_ferrers_dim2_graph(files, capsys):

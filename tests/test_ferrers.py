@@ -16,13 +16,9 @@ from probeint import (
     probe_dim3_decomposition,
     recognize_qxl,
 )
-from probeint.ferrers import (
-    FerrersFactorization,
-    _ferrers_by_inclusion,
-    _ferrers_by_submatrix,
-    two_color,
-)
+from probeint.ferrers import FerrersFactorization, two_color
 from probeint.matrices import ONE, from_zero_one
+from probeint.oracles import ferrers_oracle
 from probeint.sweeps import graph_class_representatives, matrix_class_representatives
 from tests.conftest import assert_odd_couple_cycle
 
@@ -46,12 +42,12 @@ def test_ferrers_definitions_agree_exhaustive_3x5():
         m = from_zero_one(
             [[(mask >> (i * 5 + j)) & 1 for j in range(5)] for i in range(3)]
         )
-        assert _ferrers_by_inclusion(m) == _ferrers_by_submatrix(m), m.entries
+        assert is_ferrers(m) == ferrers_oracle(m), m.entries
 
 
 def test_ferrers_definitions_agree_4x5_classes():
     for m in matrix_class_representatives(4, 5):
-        is_ferrers(m)  # asserts agreement internally
+        assert is_ferrers(m) == ferrers_oracle(m), m.entries
 
 
 def test_ferrers_definitions_agree_random_8x8():
@@ -60,7 +56,7 @@ def test_ferrers_definitions_agree_random_8x8():
         m = from_zero_one(
             [[rng.randint(0, 1) for _ in range(8)] for _ in range(8)]
         )
-        is_ferrers(m)
+        assert is_ferrers(m) == ferrers_oracle(m), m.entries
 
 
 def test_couple_graph_identity():

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from probeint import (
     is_quasi_linear,
     verify_interval_rep,
 )
+from probeint.certificates import VerificationError
 from probeint.matrices import from_zero_one
 from probeint.sweeps import graph_class_representatives
 from tests.conftest import SRC, run_python
@@ -129,7 +131,9 @@ def test_verify_failure_raises_under_optimize():
     proc = run_python("-O", "-c", CORRUPT_READ_OFF)
     assert "optimize 1" in proc.stdout
     assert proc.returncode != 0
-    assert "AssertionError: interval representation failed verification" in proc.stderr
+    expected = "VerificationError: interval representation failed verification"
+    assert expected in proc.stderr
+    assert issubclass(VerificationError, AssertionError)
 
 
 def test_source_has_no_assert_statements():
@@ -146,6 +150,14 @@ def test_caterpillars_are_interval():
     cert = is_interval_graph(legs)
     assert cert.verdict
     assert verify_interval_rep(legs, cert.intervals)
+
+
+def test_path_longer_than_recursion_limit():
+    n = sys.getrecursionlimit() + 200
+    names = [f"v{i}" for i in range(n)]
+    cert = is_interval_graph(path(names))
+    assert cert.verdict
+    assert cert.order == tuple(names)  # the lexicographically least order
 
 
 def test_k222_minus_vertex_not_interval(k222):

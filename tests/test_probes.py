@@ -202,6 +202,21 @@ def test_routes_interval_graphs_with_empty_nonprobes(route):
             assert cert.verdict
 
 
+@pytest.mark.parametrize("route", (recognize_char1, recognize_char2))
+def test_char_routes_label_at_empty_nonprobes(route):
+    # with N empty the route runs its own characterization, so the answer
+    # carries its R-C labeling rather than an interval-graph certificate
+    for n in range(1, 6):
+        for g in graph_class_representatives(n):
+            if not is_interval_graph(g).verdict:
+                continue
+            inst = g.with_nonprobes([])
+            cert = route(inst)
+            assert cert.verdict and cert.labeling is not None, sorted(g.edges)
+            assert check_rc_valid(cert.labeling)
+            assert verify_probe_rep(inst, cert.intervals)
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_routes_require_nonprobes(route, c4):
     with pytest.raises(ValueError, match="nonprobe"):
