@@ -320,6 +320,17 @@ def _crossing(marks: list[int], ones: list[int], other: list[int], lines) -> boo
     )
 
 
+def _label_couples(m01: LabeledMatrix, graph: dict, coloring: dict) -> LabeledMatrix:
+    """The hook-free engine's labeling for a proper 2-coloring of the
+    couple graph.  Some flip is always one, since interval bigraphs have
+    Ferrers dimension at most 2 (Sen, Das, Roy & West 1989), which holds
+    iff the couple graph is bipartite (Cogis 1982); none is an error."""
+    labeled = _search_colorings(m01, graph, coloring)
+    if labeled is None:
+        raise VerificationError("bipartite couple graph but no flip is an R-C labeling")
+    return labeled
+
+
 def find_rc_partition(m01: LabeledMatrix) -> Certificate:
     """Search row and column orders admitting an R-C labeling.
 
@@ -328,16 +339,16 @@ def find_rc_partition(m01: LabeledMatrix) -> Certificate:
     components of one such coloring (`_search_colorings`) and returns the
     first labeling that passes the inclusion-chain tests, in the orders
     that sort its R and C sets into chains.  These orders are not the
-    lexicographically least ones.  A no, including an odd couple cycle,
-    carries an exhausted witness.
+    lexicographically least ones.  A no (an odd couple cycle) carries an
+    exhausted witness.
     """
     graph = couple_graph(m01)
     coloring, _ = two_color(graph)
-    labeled = None if coloring is None else _search_colorings(m01, graph, coloring)
-    if labeled is None:
+    if coloring is None:
         return Certificate(
             verdict=False, kind=KIND_INTERVAL_BIGRAPH, witness=exhausted_witness()
         )
+    labeled = _label_couples(m01, graph, coloring)
     return Certificate(
         verdict=True,
         kind=KIND_INTERVAL_BIGRAPH,

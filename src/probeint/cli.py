@@ -27,7 +27,7 @@ from .bigraphs import (
     intervals_from_diagonalized,
     is_interval_bigraph,
 )
-from .ferrers import _dim2_certificate, interval_iff_dim2, probe_dim3_decomposition
+from .ferrers import ferrers_dim_le_2, interval_iff_dim2, probe_dim3_decomposition
 from .graphs import Graph
 from .intervals import is_interval_graph
 from .matrices import LabeledMatrix
@@ -174,7 +174,7 @@ def _cmd_ferrers(args) -> int:
     if isinstance(obj, Graph):
         cert = interval_iff_dim2(obj)
     else:
-        cert = _dim2_certificate(_need_matrix(obj))
+        cert = ferrers_dim_le_2(_need_matrix(obj))
     _emit(cert, args)
     return 0 if cert.verdict else 1
 

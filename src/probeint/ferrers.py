@@ -5,10 +5,11 @@ which is the one test used here; equivalently its biadjacency matrix
 contains no 2x2 permutation submatrix (`oracles.ferrers_oracle`).
 Two zeros forming such a submatrix are a couple, and the graph on zero
 positions whose edges are couples is bipartite exactly when the bigraph is
-an intersection of two Ferrers bigraphs.  For the square matrix pairing a
-graph against itself with unit diagonal, that threshold characterizes
-interval graphs, and probe interval graphs with loops added at probes stay
-within three factors.
+an intersection of two Ferrers bigraphs (Cogis 1982); the two factors are
+then read off the R-C labeling that the `bigraphs` engine finds.  For the
+square matrix pairing a graph against itself with unit diagonal, that
+threshold characterizes interval graphs, and probe interval graphs with
+loops added at probes stay within three factors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .certificates import (
     odd_cycle_witness,
 )
 from .graphs import Graph, augmented_adjacency, symmetric_bigraph
-from .matrices import ONE, ZERO, LabeledMatrix, from_rows
+from .matrices import C, ONE, R, ZERO, LabeledMatrix, from_rows
 
 
 def _one_masks(m: LabeledMatrix) -> list[int]:
@@ -44,14 +45,16 @@ def is_ferrers(m01: LabeledMatrix) -> bool:
 
 
 def couple_graph(m01: LabeledMatrix) -> dict:
-    """Graph over the zero positions of a 0/1 matrix; edges are couples.
+    """Graph over the zero positions of a matrix over {0, 1, X}; edges are
+    couples.
 
     Vertices are (row label, column label) pairs.  Zeros at (i, j) and
     (k, l) with i != k, j != l are adjacent iff the entries at (i, l) and
-    (k, j) are both 1.
+    (k, j) are both 1.  An X is neither 0 nor 1, as in the quasi-x-linear
+    scan; R and C are rejected.
     """
-    if not m01.is_zero_one():
-        raise ValueError("matrix is not over {0, 1}")
+    if any(e in (R, C) for row in m01.entries for e in row):
+        raise ValueError("matrix is not over {0, 1, X}")
     nr, nc = m01.shape
     zeros = [
         (i, j) for i in range(nr) for j in range(nc) if m01.entries[i][j] == ZERO
@@ -129,14 +132,21 @@ def _close_cycle(u, v, parent) -> list:
 
 
 def ferrers_dim_le_2(m01: LabeledMatrix) -> Certificate:
-    """Is the bigraph an intersection of two Ferrers bigraphs?"""
+    """Is the bigraph an intersection of two Ferrers bigraphs?
+
+    A no carries an odd couple cycle; a yes carries, as its coloring, the
+    labeling `_two_factors` finds, and the verified factors it gives.
+    """
     graph = couple_graph(m01)
     coloring, cycle = two_color(graph)
     if coloring is None:
         return Certificate(
             verdict=False, kind=KIND_FERRERS_DIM, witness=odd_cycle_witness(cycle)
         )
-    return Certificate(verdict=True, kind=KIND_FERRERS_DIM, coloring=coloring)
+    labels, fact = _two_factors(m01, graph, coloring)
+    return Certificate(
+        verdict=True, kind=KIND_FERRERS_DIM, coloring=labels, factorization=fact
+    )
 
 
 @dataclass(frozen=True)
@@ -181,14 +191,8 @@ def _components(graph: dict) -> list[list]:
 
 
 def decompose_two_ferrers(m01: LabeledMatrix, coloring: dict) -> FerrersFactorization:
-    """Split the zeros into two Ferrers complements along the 2-coloring.
-
-    A proper 2-coloring of the couple graph fixes each nontrivial component
-    up to a flip, and some flip assignment always yields Ferrers factors;
-    the flips are searched in lexicographic order on the components (sorted
-    by their least zero) and the first valid one wins.  Isolated zero
-    vertices go into both factors.
-    """
+    """Two Ferrers factors of m01 from the first R-C labeling among the
+    component flips of a proper 2-coloring of its couple graph."""
     graph = couple_graph(m01)
     if set(coloring) != set(graph):
         raise ValueError("coloring does not cover the couple graph")
@@ -196,60 +200,36 @@ def decompose_two_ferrers(m01: LabeledMatrix, coloring: dict) -> FerrersFactoriz
         for v in graph[u]:
             if coloring[u] == coloring[v]:
                 raise ValueError(f"coloring is not proper at {u} / {v}")
-
-    comps = [c_ for c_ in _components(graph) if len(c_) > 1]
-    isolated = [u for u in graph if not graph[u]]
-
-    base = dict(coloring)
-    for u in isolated:
-        base[u] = "I"
-
-    col_of = {c_: j for j, c_ in enumerate(m01.cols)}
-    row_of = {r_: i for i, r_ in enumerate(m01.rows)}
-    ones = _one_masks(m01)
-    comp_of = {}
-    for k, comp in enumerate(comps):
-        for u in comp:
-            comp_of[u] = k
-
-    for flips in range(1 << len(comps)):
-        f1_masks = list(ones)
-        f2_masks = list(ones)
-        for u, base_color in base.items():
-            i, j = row_of[u[0]], col_of[u[1]]
-            color = base_color
-            if base_color != "I" and flips >> comp_of[u] & 1:
-                color = "C" if base_color == "R" else "R"
-            if color == "R":
-                f2_masks[i] |= 1 << j  # this zero belongs to F1 only
-            elif color == "C":
-                f1_masks[i] |= 1 << j  # this zero belongs to F2 only
-            # "I" zeros stay 0 in both factors
-        if _is_chain(f1_masks) and _is_chain(f2_masks):
-            factors = tuple(_from_masks(m01, masks) for masks in (f1_masks, f2_masks))
-            fact = FerrersFactorization(factors=factors, target=m01)
-            if not fact.validate():
-                raise VerificationError("two-factor decomposition failed validation")
-            return fact
-    raise VerificationError("no component flip yields two Ferrers factors")
+    return _two_factors(m01, graph, coloring)[1]
 
 
-def _from_masks(m01: LabeledMatrix, masks: list[int]) -> LabeledMatrix:
-    """The 0/1 matrix over m01's lines whose rows hold 1s at `masks`."""
-    cols = range(len(m01.cols))
-    entries = [[ONE if mask >> j & 1 else ZERO for j in cols] for mask in masks]
-    return from_rows(m01.rows, m01.cols, entries)
+def _two_factors(m01: LabeledMatrix, graph: dict, coloring: dict) -> tuple:
+    """The engine's R-C labeling among the flips of `coloring`, as
+    {zero: "R" or "C"}, and its factors: F1 holds the 1s and the C zeros,
+    F2 the 1s and the R zeros.  A row's 0s in F1 are its R set and a
+    column's 0s in F2 its C set, so the engine's chain tests are the
+    Ferrers tests on F1 and F2."""
+    from .bigraphs import _label_couples  # bigraphs imports this module
 
-
-def _dim2_certificate(m01: LabeledMatrix) -> Certificate:
-    """`ferrers_dim_le_2`, with a verified two-factor decomposition on yes."""
-    cert = ferrers_dim_le_2(m01)
-    if not cert.verdict:
-        return cert
-    fact = decompose_two_ferrers(m01, cert.coloring)
-    return Certificate(
-        verdict=True, kind=KIND_FERRERS_DIM, coloring=cert.coloring, factorization=fact
+    labeled = _label_couples(m01, graph, coloring).permuted(m01.rows, m01.cols)
+    labels = {
+        (r_, c_): e
+        for r_, row in zip(m01.rows, labeled.entries)
+        for c_, e in zip(m01.cols, row)
+        if e in (R, C)
+    }
+    factors = tuple(
+        from_rows(
+            m01.rows,
+            m01.cols,
+            [[ONE if e in (ONE, keep) else ZERO for e in row] for row in labeled.entries],
+        )
+        for keep in (C, R)
     )
+    fact = FerrersFactorization(factors=factors, target=m01)
+    if not fact.validate():
+        raise VerificationError("two-factor decomposition failed validation")
+    return labels, fact
 
 
 def interval_iff_dim2(g: Graph) -> Certificate:
@@ -258,7 +238,7 @@ def interval_iff_dim2(g: Graph) -> Certificate:
     Yes exactly when the graph is an interval graph; the certificate then
     carries a verified two-factor decomposition.
     """
-    return _dim2_certificate(augmented_adjacency(g))
+    return ferrers_dim_le_2(augmented_adjacency(g))
 
 
 def probe_dim3_decomposition(g: Graph, probe_rep: dict) -> FerrersFactorization:
@@ -289,8 +269,7 @@ def probe_dim3_decomposition(g: Graph, probe_rep: dict) -> FerrersFactorization:
                 fill.append((u, v))
     g1 = g.with_extra_edges(fill)
 
-    m1 = augmented_adjacency(g1)
-    two = _dim2_certificate(m1)
+    two = interval_iff_dim2(g1)
     if not two.verdict:
         raise VerificationError(
             "filled graph is interval, so its dimension is at most 2"

@@ -10,9 +10,10 @@ probe endpoint.  Three equivalent matrix characterizations are implemented:
   * char1: the probes-by-vertices bigraph admits an R-C partition avoiding
            the 2x3 pattern [1 1 R / 1 1 C] on probe rows p, q and a
            nonprobe column n;
-  * char2: the couple graph of the augmented matrix, reduced by dropping
-           the nonprobe-square zeros, is bipartite with a bipartation whose
-           restriction to the probe rows is an R-C partition.
+  * char2: the couple graph of the augmented matrix with the
+           nonprobe-square zeros marked X (so they are no vertices, as in
+           qxl) is bipartite with a bipartition whose restriction to the
+           probe rows is an R-C partition.
 
 Every yes answer carries an interval assignment that has been verified
 against the probe adjacency rule before being returned.  The qxl route runs
@@ -357,19 +358,11 @@ def probe_representation(m_aligned: LabeledMatrix, g: Optional[Graph] = None) ->
 
 
 def reduced_associated_graph(g: Graph) -> dict:
-    """Couple graph of the augmented adjacency matrix minus the vertices
-    sitting in the nonprobe-by-nonprobe square."""
+    """Couple graph of the augmented adjacency matrix with the
+    nonprobe-square zeros marked X, so that they are no vertices."""
     _require_nonprobes(g)
-    nonprobe_names = {g.vertex_names[v] for v in g.nonprobes}
-    full = couple_graph(augmented_adjacency(g))
-    dropped = {
-        v for v in full if v[0] in nonprobe_names and v[1] in nonprobe_names
-    }
-    return {
-        v: {w for w in nbrs if w not in dropped}
-        for v, nbrs in full.items()
-        if v not in dropped
-    }
+    nonprobe_names = [g.vertex_names[v] for v in g.nonprobes]
+    return couple_graph(x_mark_nonprobes(augmented_adjacency(g), nonprobe_names))
 
 
 def recognize_char2(g: Graph) -> ProbeCertificate:

@@ -1,23 +1,28 @@
 import random
+import sys
 
 import pytest
 
 from probeint import (
+    VerificationError,
     augmented_adjacency,
     build_graph,
     couple_graph,
     decompose_two_ferrers,
     ferrers_dim_le_2,
+    find_rc_partition,
     interval_iff_dim2,
     interval_oracle,
     is_ferrers,
     is_interval_graph,
     probe_bigraph,
     probe_dim3_decomposition,
+    recognize_char2,
     recognize_qxl,
 )
+from probeint import bigraphs, ferrers
 from probeint.ferrers import FerrersFactorization, two_color
-from probeint.matrices import ONE, from_zero_one
+from probeint.matrices import ONE, ZERO, LabeledMatrix, from_zero_one
 from probeint.oracles import ferrers_oracle
 from probeint.sweeps import graph_class_representatives, matrix_class_representatives
 from tests.conftest import assert_odd_couple_cycle
@@ -123,6 +128,86 @@ def test_decompose_rejects_improper_coloring():
     m = from_zero_one([[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="proper"):
         decompose_two_ferrers(m, {("r0", "c1"): "R", ("r1", "c0"): "R"})
+
+
+def assert_zeros_split(fact, labels=None):
+    """Every zero of the target is 0 in exactly one of the two factors, and
+    `labels`, if given, marks R exactly the zeros of the first."""
+    f1, f2 = fact.factors
+    for i, row in enumerate(fact.target.entries):
+        for j, e in enumerate(row):
+            if e != ZERO:
+                continue
+            in_f1 = f1.entries[i][j] == ZERO
+            assert in_f1 != (f2.entries[i][j] == ZERO), (fact.target.entries, (i, j))
+            if labels is not None:
+                position = (fact.target.rows[i], fact.target.cols[j])
+                assert labels[position] == ("R" if in_f1 else "C")
+
+
+def test_two_factor_zeros_partition_target_zeros():
+    count = 0
+    for r in range(1, 5):
+        for c in range(1, 5):
+            for m in matrix_class_representatives(r, c):
+                # reversed labels put repr order against position order
+                flipped = LabeledMatrix(m.rows[::-1], m.cols[::-1], m.entries)
+                for target in (m, flipped):
+                    cert = ferrers_dim_le_2(target)
+                    if not cert.verdict:
+                        continue
+                    count += 1
+                    assert len(cert.coloring) == len(couple_graph(target))
+                    assert_zeros_split(cert.factorization, cert.coloring)
+                    fact = decompose_two_ferrers(target, cert.coloring)
+                    assert fact.target == target and fact.validate()
+                    assert_zeros_split(fact)
+    assert count > 1000
+
+
+def test_bipartite_couple_graph_without_labeling_raises(monkeypatch):
+    m = from_zero_one([[1, 0], [0, 1]])
+    coloring, _ = two_color(couple_graph(m))
+    assert coloring is not None
+    monkeypatch.setattr(bigraphs, "_search_colorings", lambda *args, **kw: None)
+    with pytest.raises(VerificationError, match="bipartite"):
+        ferrers_dim_le_2(m)
+    with pytest.raises(VerificationError, match="bipartite"):
+        decompose_two_ferrers(m, coloring)
+    with pytest.raises(VerificationError, match="bipartite"):
+        find_rc_partition(m)
+
+
+def test_couple_graph_built_once_per_call(monkeypatch, c4, c4_probe, net_bef):
+    original = ferrers.couple_graph
+    builds = []
+
+    def counted(m):
+        builds.append(m)
+        return original(m)
+
+    # patched in every module that binds it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "probeint" and getattr(module, "couple_graph", None) is original:
+            monkeypatch.setattr(module, "couple_graph", counted)
+    p4 = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
+    reps = {g: recognize_qxl(g).intervals for g in (c4_probe, net_bef)}
+    calls = [
+        lambda: interval_iff_dim2(p4),
+        lambda: interval_iff_dim2(c4),
+        lambda: ferrers_dim_le_2(augmented_adjacency(p4)),
+        lambda: ferrers_dim_le_2(augmented_adjacency(c4)),
+        lambda: ferrers_dim_le_2(from_zero_one([[0, 1], [1, 1]])),
+        lambda: probe_dim3_decomposition(c4_probe, reps[c4_probe]),
+        lambda: probe_dim3_decomposition(net_bef, reps[net_bef]),
+        lambda: recognize_char2(c4_probe),
+        lambda: recognize_char2(net_bef),
+        lambda: recognize_char2(c4.with_nonprobes([])),
+    ]
+    for call in calls:
+        builds.clear()
+        call()
+        assert len(builds) == 1
 
 
 def test_interval_iff_dim2_c4(c4):

@@ -24,7 +24,7 @@ from probeint import (
     verify_probe_rep,
     x_fill,
 )
-from probeint.matrices import ONE, X, from_rows
+from probeint.matrices import C, ONE, R, X, from_rows
 from probeint.probes import x_mark_nonprobes
 from probeint.sweeps import graph_class_representatives, independent_set_orbits
 from tests.conftest import assert_odd_couple_cycle
@@ -352,6 +352,31 @@ def test_reduced_drops_nonprobe_square(net):
     assert ("f", "e") not in reduced
     full = couple_graph(augmented_adjacency(net))
     assert set(reduced) == set(full) - {("e", "f"), ("f", "e")}
+
+
+def test_reduced_is_full_couple_graph_without_nonprobe_square():
+    count = 0
+    for n in range(1, 7):
+        for g in graph_class_representatives(n):
+            full = couple_graph(augmented_adjacency(g))
+            for nonprobes in independent_set_orbits(g):
+                names = {g.vertex_names[v] for v in nonprobes}
+                kept = {v for v in full if not (v[0] in names and v[1] in names)}
+                expected = {v: full[v] & kept for v in kept}
+                assert reduced_associated_graph(g.with_nonprobes(nonprobes)) == expected
+                count += 1
+    assert count > 1000
+
+
+def test_couple_graph_skips_x_and_rejects_labels():
+    m = x_mark_nonprobes(augmented_adjacency(build_graph([], vertices=["a", "b", "c"])), ["a", "b"])
+    assert m.entry("a", "b") == X
+    graph = couple_graph(m)
+    assert set(graph) == {("a", "c"), ("b", "c"), ("c", "a"), ("c", "b")}
+    assert graph[("a", "c")] == {("c", "a")}
+    for label in (R, C):
+        with pytest.raises(ValueError, match="not over"):
+            couple_graph(m.with_entry(0, 1, label))
 
 
 def test_reduced_edgeless_two_nonprobes_empty():
