@@ -163,12 +163,8 @@ def forced_labeling(m01: LabeledMatrix, row_order: Sequence, col_order: Sequence
 # the R-C partition engine, shared with the char1 and char2 probe routes
 
 
-def _positions_by_label(m: LabeledMatrix) -> dict:
-    return {
-        (m.rows[i], m.cols[j]): (i, j)
-        for i in range(len(m.rows))
-        for j in range(len(m.cols))
-    }
+def _positions_by_label(rows: tuple, cols: tuple) -> dict:
+    return {(r, c): (i, j) for i, r in enumerate(rows) for j, c in enumerate(cols)}
 
 
 def _rc_partition(m01: LabeledMatrix, labeling: dict) -> Optional[LabeledMatrix]:
@@ -211,7 +207,6 @@ def _search_colorings(
     coloring: dict,
     pos_of: Optional[dict] = None,
     prune=None,
-    accept=None,
 ) -> Optional[LabeledMatrix]:
     """First R-C partition of m01 among the component flips of `coloring`.
 
@@ -222,10 +217,10 @@ def _search_colorings(
     (by default the cell positions in m01), and the base branch colors that
     vertex R, so the search is lexicographic.  A branch is cut when
     `prune(labels)` holds or the labels can no longer pass the chain tests;
-    a leaf is taken when its labels extend to orders and `accept(labeled)`
-    holds.  `labels` maps the (i, j) cells labeled so far to R or C.
+    a leaf is taken when its labels extend to orders.  `labels` maps the
+    (i, j) cells labeled so far to R or C.
     """
-    cell_of = _positions_by_label(m01)
+    cell_of = _positions_by_label(m01.rows, m01.cols)
     if pos_of is None:
         pos_of = cell_of
     one_masks = (_one_masks(m01), _one_masks(m01.transpose()))
@@ -279,7 +274,7 @@ def _search_colorings(
             continue
         if not cut:
             labeled = _rc_partition(m01, labels)
-            if labeled is not None and (accept is None or accept(labeled)):
+            if labeled is not None:
                 return labeled
         while flips and flips[-1]:
             flips.pop()

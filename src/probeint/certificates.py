@@ -7,7 +7,6 @@ be rechecked independently by the caller.
 
 Negative witnesses are one of:
   * odd-cycle: an odd cycle of couples over zero positions,
-  * forbidden-submatrix: a (p, q, n) triple of vertex labels,
   * exhausted: positive marker that a complete search found nothing.
 """
 
@@ -43,10 +42,6 @@ def exhausted_witness() -> dict:
 
 def odd_cycle_witness(positions: list) -> dict:
     return {"type": "odd-cycle", "positions": list(positions)}
-
-
-def forbidden_submatrix_witness(p, q, n) -> dict:
-    return {"type": "forbidden-submatrix", "rows": [p, q], "column": n}
 
 
 @dataclass(frozen=True)

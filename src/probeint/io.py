@@ -193,9 +193,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
         witness = dict(cert.witness)
         if witness.get("type") == "odd-cycle":
             witness["positions"] = [[str(r), str(c)] for r, c in witness["positions"]]
-        if witness.get("type") == "forbidden-submatrix":
-            witness["rows"] = [str(v) for v in witness["rows"]]
-            witness["column"] = str(witness["column"])
         data["witness"] = witness
     if cert.factorization is not None:
         data["factorization"] = factorization_to_dict(cert.factorization)
@@ -241,9 +238,6 @@ def _certificate_text(cert: Certificate) -> str:
         if w["type"] == "odd-cycle":
             cyc = " ".join(f"({r},{c})" for r, c in w["positions"])
             lines.append(f"witness: odd couple cycle {cyc}")
-        elif w["type"] == "forbidden-submatrix":
-            p, q = w["rows"]
-            lines.append(f"witness: forbidden submatrix rows {p},{q} column {w['column']}")
         else:
             lines.append("witness: exhaustive search")
     if "factorization" in data:

@@ -22,9 +22,10 @@ the interval module's order search (`_search_quasi_linear`) and ones scan
 `verify_probe_rep` shares its body (`_verify_rep`) with
 `verify_interval_rep`.  char1 and char2 run the R-C partition engine of
 `bigraphs` (`_search_colorings`, the component-flip search behind
-`find_rc_partition`): char1 adds the forbidden-pattern prune and a
-`scan_forbidden` leaf check, char2 searches the reduced graph and labels
-only its probe rows.  Both then share the constructive pipeline.
+`find_rc_partition`): char1 adds the forbidden-pattern prune, char2
+searches the reduced graph and labels only its probe rows.  Both recheck
+the partition found with `scan_forbidden`, then share the constructive
+pipeline.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def recognize_char1(g: Graph) -> ProbeCertificate:
             witness=odd_cycle_witness(cycle),
         )
 
-    pos_of = _positions_by_label(m01)
+    pos_of = _positions_by_label(m01.rows, m01.cols)
     pattern_pairs = []
     for p in probe_names:
         for q in probe_names:
@@ -259,17 +260,14 @@ def recognize_char1(g: Graph) -> ProbeCertificate:
             labels.get(pn) == R and labels.get(qn) == C for pn, qn in pattern_pairs
         )
 
-    def pattern_free(labeled: LabeledMatrix) -> bool:
-        return scan_forbidden(labeled, probe_names, nonprobe_names) is None
-
-    labeled = _search_colorings(m01, graph, coloring, pos_of, has_pattern, pattern_free)
+    labeled = _search_colorings(m01, graph, coloring, prune=has_pattern)
     if labeled is not None:
+        if scan_forbidden(labeled, probe_names, nonprobe_names) is not None:
+            raise VerificationError("char1 partition carries the forbidden pattern")
         return _probe_pipeline(g, labeled, KIND_PROBE_CHAR1, ROUTE_CHAR1)
     # the no-answer also reports whether the bigraph alone was recognizable
     witness = exhausted_witness()
-    witness["interval_bigraph"] = (
-        _search_colorings(m01, graph, coloring, pos_of) is not None
-    )
+    witness["interval_bigraph"] = _search_colorings(m01, graph, coloring) is not None
     return _probe_cert(g, KIND_PROBE_CHAR1, ROUTE_CHAR1, verdict=False, witness=witness)
 
 
@@ -403,7 +401,10 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
     # the probe rows of the augmented matrix are the probes-by-vertices
     # matrix, so the engine labels exactly the restriction to them
     labeled = _search_colorings(
-        probe_bigraph(g), reduced, coloring, _positions_by_label(augmented_adjacency(g))
+        probe_bigraph(g),
+        reduced,
+        coloring,
+        _positions_by_label(g.vertex_names, g.vertex_names),
     )
     if labeled is None:
         return _probe_cert(

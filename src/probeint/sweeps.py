@@ -1,18 +1,21 @@
 """Exhaustive small-instance sweeps, deduplicated up to isomorphism.
 
 Recognition verdicts are invariant under relabeling, so exhaustive
-cross-checks only need one representative per isomorphism class: graphs are
-canonicalized as the least edge bitmask over all vertex permutations, and
-nonprobe choices are deduplicated under the automorphisms of the chosen
-representative.  Matrices are canonicalized under independent row and
-column permutations as the least row-permuted column-sorted key.
+cross-checks only need one representative per isomorphism class, and each
+class is represented by its least bitmask.  A graph's bitmask has one bit
+per vertex pair; scanning the bitmasks in ascending order and skipping the
+orbit of every representative found leaves the least of each class.
+Nonprobe choices are deduplicated under the automorphisms of the chosen
+representative.  A matrix's bitmask is row-major; reading each column as
+the value whose bit i is row i, the least bitmask for a fixed row order
+puts the columns in descending order, so a matrix class is a multiset of
+columns up to row permutations, and its least bitmask is a minimum over
+those permutations.
 """
 
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
 
 from .graphs import Graph
 from .matrices import LabeledMatrix, from_zero_one
@@ -34,45 +37,37 @@ def _perm_bit_maps(n: int) -> tuple[list, list]:
     return perms, maps
 
 
+def _images(bits: list, maps: list) -> list[int]:
+    """The bitmask with bits `bits` under each map, which sends bit k to
+    bit map[k]."""
+    return [sum(1 << mp[k] for k in bits) for mp in maps]
+
+
 def graph_class_representatives(n: int) -> list[Graph]:
-    """Lex-least representative of every isomorphism class on n vertices."""
-    if n == 1:
-        return [Graph(n=1, vertex_names=("v0",), edges=frozenset())]
+    """Least-bitmask representative of every isomorphism class on n
+    vertices, in ascending order of that bitmask."""
     pairs = _pairs(n)
-    nbits = len(pairs)
     _, maps = _perm_bit_maps(n)
-    masks = np.arange(1 << nbits, dtype=np.int64)
-    bits = [(masks >> k) & 1 for k in range(nbits)]
-    canon = masks.copy()
-    for mp in maps:
-        image = np.zeros_like(masks)
-        for k in range(nbits):
-            image |= bits[k] << mp[k]
-        np.minimum(canon, image, out=canon)
-    reps = np.nonzero(canon == masks)[0]
     names = tuple(f"v{i}" for i in range(n))
+    seen: set = set()
     out = []
-    for mask in reps.tolist():
-        edges = frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
+    for mask in range(1 << len(pairs)):
+        if mask in seen:
+            continue
+        bits = [k for k in range(len(pairs)) if mask >> k & 1]
+        seen.update(_images(bits, maps))
+        edges = frozenset(pairs[k] for k in bits)
         out.append(Graph(n=n, vertex_names=names, edges=edges))
     return out
 
 
 def automorphisms(g: Graph) -> list[tuple]:
     """All vertex permutations mapping the edge set onto itself."""
-    perms, maps = _perm_bit_maps(g.n) if g.n > 1 else ([(0,)], [[]])
+    perms, maps = _perm_bit_maps(g.n)
     pairs = _pairs(g.n)
-    index = {p: k for k, p in enumerate(pairs)}
-    mask = sum(1 << index[e] for e in g.edges)
-    auts = []
-    for perm, mp in zip(perms, maps):
-        image = 0
-        for k in range(len(pairs)):
-            if mask >> k & 1:
-                image |= 1 << mp[k]
-        if image == mask:
-            auts.append(perm)
-    return auts
+    bits = [k for k, p in enumerate(pairs) if p in g.edges]
+    mask = sum(1 << k for k in bits)
+    return [perm for perm, image in zip(perms, _images(bits, maps)) if image == mask]
 
 
 def independent_set_orbits(g: Graph) -> list[frozenset]:
@@ -90,67 +85,49 @@ def independent_set_orbits(g: Graph) -> list[frozenset]:
             for v in members[a + 1 :]
         ):
             independent.append(mask)
-    seen = set()
+    seen: set = set()
     reps = []
     for mask in independent:
         if mask in seen:
             continue
-        orbit = set()
-        for perm in auts:
-            image = 0
-            for v in range(g.n):
-                if mask >> v & 1:
-                    image |= 1 << perm[v]
-            orbit.add(image)
-        seen |= orbit
-        reps.append(frozenset(v for v in range(g.n) if mask >> v & 1))
+        members = [v for v in range(g.n) if mask >> v & 1]
+        seen.update(_images(members, auts))
+        reps.append(frozenset(members))
     return reps
 
 
-def probe_instances(n: int):
-    """Yield (graph-with-nonprobes) per class of (graph, independent set)."""
-    for g in graph_class_representatives(n):
-        for nonprobes in independent_set_orbits(g):
-            yield g.with_nonprobes(nonprobes)
-
-
 def matrix_class_representatives(nrows: int, ncols: int) -> list[LabeledMatrix]:
-    """Lex-least representative per equivalence class of 0/1 matrices under
-    independent row and column permutations."""
-    total = nrows * ncols
-    masks = np.arange(1 << total, dtype=np.int64)
-    # column j of matrix m (row-major bits): bits j, j+ncols, ...
-    col_values = []
-    for j in range(ncols):
-        v = np.zeros_like(masks)
-        for i in range(nrows):
-            v |= ((masks >> (i * ncols + j)) & 1) << i
-        col_values.append(v)
-    cols = np.stack(col_values, axis=1)  # (masks, ncols) of row-bit nibbles
-
-    canon = None
-    for perm in itertools.permutations(range(nrows)):
-        # remap each column nibble through the row permutation
-        table = np.zeros(1 << nrows, dtype=np.int64)
-        for v in range(1 << nrows):
-            w = 0
-            for i in range(nrows):
-                if v >> i & 1:
-                    w |= 1 << perm[i]
-            table[v] = w
-        permuted = table[cols]
-        permuted.sort(axis=1)
-        key = np.zeros_like(masks)
-        for j in range(ncols):
-            key = (key << nrows) | permuted[:, j]
-        canon = key if canon is None else np.minimum(canon, key)
-
-    _, first = np.unique(canon, return_index=True)
-    out = []
-    for mask in sorted(first.tolist()):
-        data = [
-            [(mask >> (i * ncols + j)) & 1 for j in range(ncols)]
-            for i in range(nrows)
+    """Least-bitmask representative per class of 0/1 matrices under
+    independent row and column permutations, in ascending order of the
+    row-major bitmask."""
+    # per row permutation, the column values it maps each column value to
+    relabel = [
+        [
+            sum(1 << perm[i] for i in range(nrows) if v >> i & 1)
+            for v in range(1 << nrows)
         ]
-        out.append(from_zero_one(data))
-    return out
+        for perm in itertools.permutations(range(nrows))
+    ]
+
+    def least_mask(cols: tuple) -> int:
+        # ascending column values, laid out in descending order
+        return sum(
+            (v >> i & 1) << (i * ncols + ncols - 1 - j)
+            for j, v in enumerate(cols)
+            for i in range(nrows)
+        )
+
+    seen: set = set()
+    masks = []
+    for cols in itertools.combinations_with_replacement(range(1 << nrows), ncols):
+        if cols in seen:
+            continue
+        orbit = {tuple(sorted(table[v] for v in cols)) for table in relabel}
+        seen |= orbit
+        masks.append(min(map(least_mask, orbit)))
+    return [
+        from_zero_one(
+            [[mask >> (i * ncols + j) & 1 for j in range(ncols)] for i in range(nrows)]
+        )
+        for mask in sorted(masks)
+    ]

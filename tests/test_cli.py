@@ -163,6 +163,20 @@ def test_oracle_compare_small(capsys):
     assert dispatch(["oracle-compare", "--max-n", "4", "--output", "json"]) == 2
 
 
+NO_NUMPY_ORACLE_COMPARE = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from probeint.cli import dispatch
+sys.exit(dispatch(["oracle-compare", "--max-n", "4"]))
+"""
+
+
+def test_oracle_compare_runs_without_numpy():
+    proc = run_python("-c", NO_NUMPY_ORACLE_COMPARE)
+    assert proc.returncode == 0, proc.stderr
+    assert "disagreements: 0" in proc.stdout
+
+
 def test_output_byte_identical_across_runs(files, capsys):
     assert dispatch(["represent", files["a.txt"], "--output", "json"]) == 0
     first = capsys.readouterr().out

@@ -144,6 +144,21 @@ def test_source_has_no_assert_statements():
         assert not lines, f"{path.name}: assert statements at lines {lines}"
 
 
+def test_source_does_not_import_numpy():
+    # the functional tests run with numpy installed, so only the source shows
+    # whether the package has come to depend on it again
+    for path in sorted(Path(SRC, "probeint").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(node.lineno, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((node.lineno, node.module))
+        lines = [n for n, name in imported if name.split(".")[0] == "numpy"]
+        assert not lines, f"{path.name}: numpy imported at lines {lines}"
+
+
 def test_caterpillars_are_interval():
     # paths with legs, n <= 5
     legs = build_graph([("a", "b"), ("b", "c"), ("b", "d"), ("c", "e")])

@@ -16,6 +16,7 @@ from probeint import (
     probe_bigraph,
     probe_oracle,
     probe_representation,
+    probes,
     recognize_char1,
     recognize_char2,
     recognize_qxl,
@@ -382,6 +383,21 @@ def test_couple_graph_skips_x_and_rejects_labels():
 def test_reduced_edgeless_two_nonprobes_empty():
     g = build_graph([], vertices=["a", "b"], nonprobes=["a", "b"])
     assert reduced_associated_graph(g) == {}
+
+
+def test_char2_builds_the_augmented_matrix_once(monkeypatch):
+    builds = []
+
+    def counted(g):
+        builds.append(g)
+        return augmented_adjacency(g)
+
+    monkeypatch.setattr(probes, "augmented_adjacency", counted)
+    g = build_graph(
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")], nonprobes=["a", "c"]
+    )
+    assert recognize_char2(g).verdict
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------
