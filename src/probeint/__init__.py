@@ -3,11 +3,9 @@ graphs from their (bi)adjacency matrices, with verifiable certificates."""
 
 from .bigraphs import (
     BigraphIntervals,
-    LabelingConflict,
     check_rc_valid,
     diagonalize,
     find_rc_partition,
-    forced_labeling,
     intervals_from_diagonalized,
     is_interval_bigraph,
     verify_bigraph_rep,
@@ -65,7 +63,6 @@ __all__ = [
     "FerrersFactorization",
     "Graph",
     "LabeledMatrix",
-    "LabelingConflict",
     "ProbeCertificate",
     "VerificationError",
     "align_probe_columns",
@@ -80,7 +77,6 @@ __all__ = [
     "ferrers_dim_le_2",
     "find_quasi_linear_order",
     "find_rc_partition",
-    "forced_labeling",
     "from_rows",
     "from_zero_one",
     "interval_iff_dim2",

@@ -11,9 +11,8 @@ from the diagonal to the last 1 then yields an interval representation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .certificates import (
     KIND_INTERVAL_BIGRAPH,
@@ -23,14 +22,6 @@ from .certificates import (
 )
 from .ferrers import _components, _is_chain, _one_masks, couple_graph, two_color
 from .matrices import C, ONE, R, X, ZERO, LabeledMatrix, strip_to
-
-
-class LabelingConflict(ValueError):
-    """The given orders admit no R-C labeling; carries one forced conflict."""
-
-    def __init__(self, position):
-        self.position = position
-        super().__init__(f"no R-C labeling under these orders: conflict at {position}")
 
 
 def check_rc_valid(m: LabeledMatrix) -> bool:
@@ -60,103 +51,6 @@ def check_rc_valid(m: LabeledMatrix) -> bool:
             if e == C:
                 seen_c = True
     return True
-
-
-def _rc_closure(grid):
-    """Forced R/C labels for the zeros of a 0/1 grid, under its given orders.
-
-    A zero with a 1 later in its row cannot be R, so it is C; a zero with a
-    1 below in its column is R.  Labels then propagate: an R forces the
-    zeros right of it (same row) and above it (same column) to R, a C the
-    zeros below it and left of it to C.  Zeros never reached are free and
-    default to R, which is always consistent after the closure.
-
-    Returns (labels, conflict_position); labels is None on conflict.
-    """
-    nr = len(grid)
-    nc = len(grid[0]) if nr else 0
-    label: dict = {}
-    queue: deque = deque()
-
-    def put(pos, value) -> bool:
-        cur = label.get(pos)
-        if cur == value:
-            return True
-        if cur is not None:
-            return False
-        label[pos] = value
-        queue.append((pos, value))
-        return True
-
-    one_right = [[False] * nc for _ in range(nr)]
-    for p in range(nr):
-        seen = False
-        for q in range(nc - 1, -1, -1):
-            one_right[p][q] = seen
-            if grid[p][q] == ONE:
-                seen = True
-    one_below = [[False] * nc for _ in range(nr)]
-    for q in range(nc):
-        seen = False
-        for p in range(nr - 1, -1, -1):
-            one_below[p][q] = seen
-            if grid[p][q] == ONE:
-                seen = True
-
-    for p in range(nr):
-        for q in range(nc):
-            if grid[p][q] != ZERO:
-                continue
-            must_c = one_right[p][q]
-            must_r = one_below[p][q]
-            if must_c and must_r:
-                return None, (p, q)
-            if must_c and not put((p, q), C):
-                return None, (p, q)
-            if must_r and not put((p, q), R):
-                return None, (p, q)
-
-    while queue:
-        (p, q), value = queue.popleft()
-        if value == R:
-            for q2 in range(q + 1, nc):
-                if grid[p][q2] == ZERO and not put((p, q2), R):
-                    return None, (p, q2)
-            for p2 in range(p):
-                if grid[p2][q] == ZERO and not put((p2, q), R):
-                    return None, (p2, q)
-        else:
-            for p2 in range(p + 1, nr):
-                if grid[p2][q] == ZERO and not put((p2, q), C):
-                    return None, (p2, q)
-            for q2 in range(q):
-                if grid[p][q2] == ZERO and not put((p, q2), C):
-                    return None, (p, q2)
-
-    for p in range(nr):
-        for q in range(nc):
-            if grid[p][q] == ZERO and (p, q) not in label:
-                label[(p, q)] = R
-    return label, None
-
-
-def forced_labeling(m01: LabeledMatrix, row_order: Sequence, col_order: Sequence) -> LabeledMatrix:
-    """Resolve every 0 of a 0/1 matrix to R or C under the given orders.
-
-    Raises LabelingConflict (with the conflicting position) exactly when the
-    orders admit no R-C labeling.
-    """
-    if not m01.is_zero_one():
-        raise ValueError("matrix is not over {0, 1}")
-    p = m01.permuted(tuple(row_order), tuple(col_order))
-    labels, conflict = _rc_closure([list(row) for row in p.entries])
-    if labels is None:
-        i, j = conflict
-        raise LabelingConflict((p.rows[i], p.cols[j]))
-    out = p.relabeled(labels)
-    if not check_rc_valid(out):
-        raise VerificationError("forced labeling is not a valid R-C partition")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,35 +209,27 @@ def _crossing(marks: list[int], ones: list[int], other: list[int], lines) -> boo
     )
 
 
-def _label_couples(m01: LabeledMatrix, graph: dict, coloring: dict) -> LabeledMatrix:
-    """The hook-free engine's labeling for a proper 2-coloring of the
-    couple graph.  Some flip is always one, since interval bigraphs have
-    Ferrers dimension at most 2 (Sen, Das, Roy & West 1989), which holds
-    iff the couple graph is bipartite (Cogis 1982); none is an error."""
-    labeled = _search_colorings(m01, graph, coloring)
-    if labeled is None:
-        raise VerificationError("bipartite couple graph but no flip is an R-C labeling")
-    return labeled
-
-
 def find_rc_partition(m01: LabeledMatrix) -> Certificate:
     """Search row and column orders admitting an R-C labeling.
 
     An R-C labeling labels the two zeros of every couple apart, so it is a
-    proper 2-coloring of the couple graph.  The search flips whole
-    components of one such coloring (`_search_colorings`) and returns the
-    first labeling that passes the inclusion-chain tests, in the orders
-    that sort its R and C sets into chains.  These orders are not the
-    lexicographically least ones.  A no (an odd couple cycle) carries an
-    exhausted witness.
+    proper 2-coloring of the couple graph, and every one is among the
+    component flips of any one such coloring.  The search flips whole
+    components (`_search_colorings`) and returns the first labeling that
+    passes the inclusion-chain tests, in the orders that sort its R and C
+    sets into chains.  These orders are not the lexicographically least
+    ones.  A no, from an odd couple cycle or from a search that tried every
+    flip, carries an exhausted witness.  A bipartite couple graph does not
+    imply a yes: Ferrers dimension 2 is a larger class than interval
+    bigraphs.
     """
     graph = couple_graph(m01)
     coloring, _ = two_color(graph)
-    if coloring is None:
+    labeled = None if coloring is None else _search_colorings(m01, graph, coloring)
+    if labeled is None:
         return Certificate(
             verdict=False, kind=KIND_INTERVAL_BIGRAPH, witness=exhausted_witness()
         )
-    labeled = _label_couples(m01, graph, coloring)
     return Certificate(
         verdict=True,
         kind=KIND_INTERVAL_BIGRAPH,

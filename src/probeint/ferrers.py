@@ -5,16 +5,18 @@ which is the one test used here; equivalently its biadjacency matrix
 contains no 2x2 permutation submatrix (`oracles.ferrers_oracle`).
 Two zeros forming such a submatrix are a couple, and the graph on zero
 positions whose edges are couples is bipartite exactly when the bigraph is
-an intersection of two Ferrers bigraphs (Cogis 1982); the two factors are
-then read off the R-C labeling that the `bigraphs` engine finds.  For the
-square matrix pairing a graph against itself with unit diagonal, that
-threshold characterizes interval graphs, and probe interval graphs with
-loops added at probes stay within three factors.
+an intersection of two Ferrers bigraphs (Cogis 1982).  Each factor is then
+a threshold extension of one color class: a Ferrers matrix holding every 1
+and 0 on that class, read off the longest-path levels of a row-column
+digraph.  For the square matrix pairing a graph against itself with unit
+diagonal, that threshold characterizes interval graphs, and probe interval
+graphs with loops added at probes stay within three factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .certificates import (
     KIND_FERRERS_DIM,
@@ -134,8 +136,9 @@ def _close_cycle(u, v, parent) -> list:
 def ferrers_dim_le_2(m01: LabeledMatrix) -> Certificate:
     """Is the bigraph an intersection of two Ferrers bigraphs?
 
-    A no carries an odd couple cycle; a yes carries, as its coloring, the
-    labeling `_two_factors` finds, and the verified factors it gives.
+    A no carries an odd couple cycle.  A yes carries `two_color`'s coloring
+    and the verified factors extending its two classes.  Cogis 1982 gives
+    only that some proper coloring extends; this one failing to is an error.
     """
     graph = couple_graph(m01)
     coloring, cycle = two_color(graph)
@@ -143,9 +146,12 @@ def ferrers_dim_le_2(m01: LabeledMatrix) -> Certificate:
         return Certificate(
             verdict=False, kind=KIND_FERRERS_DIM, witness=odd_cycle_witness(cycle)
         )
-    labels, fact = _two_factors(m01, graph, coloring)
+    fact = _extensions(m01, coloring)
+    if fact is None:
+        raise VerificationError("the couple graph's 2-coloring has no Ferrers extension")
+    _validated(fact)
     return Certificate(
-        verdict=True, kind=KIND_FERRERS_DIM, coloring=labels, factorization=fact
+        verdict=True, kind=KIND_FERRERS_DIM, coloring=coloring, factorization=fact
     )
 
 
@@ -191,8 +197,12 @@ def _components(graph: dict) -> list[list]:
 
 
 def decompose_two_ferrers(m01: LabeledMatrix, coloring: dict) -> FerrersFactorization:
-    """Two Ferrers factors of m01 from the first R-C labeling among the
-    component flips of a proper 2-coloring of its couple graph."""
+    """Two Ferrers factors of m01 extending a proper 2-coloring of its
+    couple graph: the first is 0 on the R zeros, the second on the C zeros.
+
+    Raises ValueError when the coloring is not proper or has no extension;
+    not every proper coloring of a bipartite couple graph has one.
+    """
     graph = couple_graph(m01)
     if set(coloring) != set(graph):
         raise ValueError("coloring does not cover the couple graph")
@@ -200,36 +210,69 @@ def decompose_two_ferrers(m01: LabeledMatrix, coloring: dict) -> FerrersFactoriz
         for v in graph[u]:
             if coloring[u] == coloring[v]:
                 raise ValueError(f"coloring is not proper at {u} / {v}")
-    return _two_factors(m01, graph, coloring)[1]
+    fact = _extensions(m01, coloring)
+    if fact is None:
+        raise ValueError("coloring does not extend to two Ferrers factors")
+    return _validated(fact)
 
 
-def _two_factors(m01: LabeledMatrix, graph: dict, coloring: dict) -> tuple:
-    """The engine's R-C labeling among the flips of `coloring`, as
-    {zero: "R" or "C"}, and its factors: F1 holds the 1s and the C zeros,
-    F2 the 1s and the R zeros.  A row's 0s in F1 are its R set and a
-    column's 0s in F2 its C set, so the engine's chain tests are the
-    Ferrers tests on F1 and F2."""
-    from .bigraphs import _label_couples  # bigraphs imports this module
+def _extensions(m01: LabeledMatrix, coloring: dict) -> Optional[FerrersFactorization]:
+    """The extensions of the R and of the C class of a coloring of m01's
+    zeros, or None when either class has none."""
+    row_at = {r_: i for i, r_ in enumerate(m01.rows)}
+    col_at = {c_: j for j, c_ in enumerate(m01.cols)}
+    factors = []
+    for color in (R, C):
+        avoid = [(row_at[r_], col_at[c_]) for (r_, c_), k in coloring.items() if k == color]
+        factor = _extend(m01, avoid)
+        if factor is None:
+            return None
+        factors.append(factor)
+    return FerrersFactorization(factors=tuple(factors), target=m01)
 
-    labeled = _label_couples(m01, graph, coloring).permuted(m01.rows, m01.cols)
-    labels = {
-        (r_, c_): e
-        for r_, row in zip(m01.rows, labeled.entries)
-        for c_, e in zip(m01.cols, row)
-        if e in (R, C)
-    }
-    factors = tuple(
-        from_rows(
-            m01.rows,
-            m01.cols,
-            [[ONE if e in (ONE, keep) else ZERO for e in row] for row in labeled.entries],
-        )
-        for keep in (C, R)
+
+def _extend(m01: LabeledMatrix, avoid: list) -> Optional[LabeledMatrix]:
+    """A Ferrers matrix holding every 1 of m01 and 0 at the (i, j) in
+    `avoid`, or None when there is none.
+
+    It is a threshold: 1 exactly where x_i <= a_j, for a level x_i per row
+    and a_j per column, with an edge row i -> column j of weight 0 per 1
+    and an edge column j -> row i of weight 1 per avoided zero.  Every cycle
+    passes a weight-1 edge, so levels exist iff the digraph is acyclic, and
+    the longest-path levels along a topological order are some.
+    """
+    nr, nc = m01.shape
+    succ: list[list[int]] = [[] for _ in range(nr + nc)]  # columns are nr + j
+    for i, row in enumerate(m01.entries):
+        succ[i] = [nr + j for j, e in enumerate(row) if e == ONE]
+    for i, j in avoid:
+        succ[nr + j].append(i)
+    indegree = [0] * (nr + nc)
+    for out in succ:
+        for v in out:
+            indegree[v] += 1
+    level = [0] * (nr + nc)
+    order = [v for v in range(nr + nc) if indegree[v] == 0]
+    for u in order:  # Kahn's algorithm; the order grows while it is read
+        step = level[u] + (u >= nr)
+        for v in succ[u]:
+            level[v] = max(level[v], step)
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                order.append(v)
+    if len(order) < nr + nc:
+        return None
+    return from_rows(
+        m01.rows,
+        m01.cols,
+        [[ONE if level[i] <= level[nr + j] else ZERO for j in range(nc)] for i in range(nr)],
     )
-    fact = FerrersFactorization(factors=factors, target=m01)
+
+
+def _validated(fact: FerrersFactorization) -> FerrersFactorization:
     if not fact.validate():
-        raise VerificationError("two-factor decomposition failed validation")
-    return labels, fact
+        raise VerificationError(f"{len(fact.factors)}-factor decomposition failed validation")
+    return fact
 
 
 def interval_iff_dim2(g: Graph) -> Certificate:
@@ -244,9 +287,10 @@ def interval_iff_dim2(g: Graph) -> Certificate:
 def probe_dim3_decomposition(g: Graph, probe_rep: dict) -> FerrersFactorization:
     """Three Ferrers factors for the probe-loops matrix of a probe interval graph.
 
-    Fills in the nonprobe pairs whose intervals in `probe_rep` intersect to
-    get an interval graph, factors its augmented matrix into two Ferrers
-    complements, and appends the block factor that is 0 exactly on the
+    With [l_u, r_u] the interval of u in the verified `probe_rep`, the first
+    factor is 1 where l_u <= r_v and the second where l_v <= r_u; each is a
+    threshold, so Ferrers, their union is complete and their intersection
+    is "the intervals meet".  The third factor is 0 exactly on the
     nonprobe-by-nonprobe square.  The intersection of the three equals the
     adjacency matrix with loops at probes only.
     """
@@ -257,36 +301,19 @@ def probe_dim3_decomposition(g: Graph, probe_rep: dict) -> FerrersFactorization:
     if not verify_probe_rep(g, probe_rep):
         raise ValueError("probe representation fails verification")
 
-    fill = []
-    nps = sorted(g.nonprobes)
-    for a in range(len(nps)):
-        u = nps[a]
-        lu, ru = probe_rep[g.vertex_names[u]]
-        for b in range(a + 1, len(nps)):
-            v = nps[b]
-            lv, rv = probe_rep[g.vertex_names[v]]
-            if max(lu, lv) <= min(ru, rv):
-                fill.append((u, v))
-    g1 = g.with_extra_edges(fill)
+    spans = [probe_rep[name] for name in g.vertex_names]
 
-    two = interval_iff_dim2(g1)
-    if not two.verdict:
-        raise VerificationError(
-            "filled graph is interval, so its dimension is at most 2"
+    def factor(holds) -> LabeledMatrix:
+        return from_rows(
+            g.vertex_names,
+            g.vertex_names,
+            [[ONE if holds(u, v) else ZERO for v in range(g.n)] for u in range(g.n)],
         )
 
-    entries = tuple(
-        tuple(
-            ZERO if (i in g.nonprobes and j in g.nonprobes) else ONE
-            for j in range(g.n)
-        )
-        for i in range(g.n)
+    factors = (
+        factor(lambda u, v: spans[u][0] <= spans[v][1]),
+        factor(lambda u, v: spans[v][0] <= spans[u][1]),
+        factor(lambda u, v: not (u in g.nonprobes and v in g.nonprobes)),
     )
-    f3 = from_rows(g.vertex_names, g.vertex_names, entries)
-
     target = symmetric_bigraph(g, probe_loops_only=True)
-    factors = two.factorization.factors + (f3,)
-    fact = FerrersFactorization(factors=factors, target=target)
-    if not fact.validate():
-        raise VerificationError("three-factor decomposition failed validation")
-    return fact
+    return _validated(FerrersFactorization(factors=factors, target=target))

@@ -17,6 +17,11 @@ import pytest
 from probeint import build_graph
 from probeint.matrices import from_rows, from_zero_one
 
+# A 7x6 bigraph of Ferrers dimension 2 that is no interval bigraph: its
+# couple graph is bipartite, but no labeling of its zeros is an R-C one.
+# Without any one of its lines it is an interval bigraph.
+DIM2_NOT_INTERVAL = ["111010", "000010", "100000", "110111", "110011", "111110", "010000"]
+
 NET_EDGES = [("a", "b"), ("b", "c"), ("b", "d"), ("c", "d"), ("c", "e"), ("d", "f")]
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -43,6 +48,11 @@ def assert_odd_couple_cycle(m, cycle):
         assert m.entry(r1, c1) == "0" and m.entry(r2, c2) == "0"
         assert r1 != r2 and c1 != c2
         assert m.entry(r1, c2) == "1" and m.entry(r2, c1) == "1"
+
+
+@pytest.fixture
+def dim2_not_interval():
+    return from_zero_one([[int(e) for e in row] for row in DIM2_NOT_INTERVAL])
 
 
 @pytest.fixture

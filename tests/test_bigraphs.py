@@ -5,12 +5,10 @@ import sys
 import pytest
 
 from probeint import (
-    LabelingConflict,
     bigraph_oracle,
     check_rc_valid,
     diagonalize,
     find_rc_partition,
-    forced_labeling,
     intervals_from_diagonalized,
     is_interval_bigraph,
     probe_bigraph,
@@ -26,16 +24,6 @@ def all_zero_one(nr, nc):
         yield from_zero_one(
             [[(mask >> (i * nc + j)) & 1 for j in range(nc)] for i in range(nr)]
         )
-
-
-def brute_force_labeling_exists(m01) -> bool:
-    """Try every R/C assignment of the zeros under the stored orders."""
-    zeros = [(i, j) for i, j in m01.zero_positions()]
-    for assignment in itertools.product("RC", repeat=len(zeros)):
-        labeled = m01.relabeled(dict(zip(zeros, assignment)))
-        if check_rc_valid(labeled):
-            return True
-    return len(zeros) == 0 or False
 
 
 # ---------------------------------------------------------------------------
@@ -71,71 +59,6 @@ def test_rc_valid_r_before_one():
 def test_rc_valid_rejects_unresolved_zero():
     with pytest.raises(ValueError, match="unresolved"):
         check_rc_valid(from_zero_one([[1, 0]]))
-
-
-# ---------------------------------------------------------------------------
-# forced_labeling
-
-
-def test_forced_reproduces_reference_pattern(bigraph_a):
-    labeled = forced_labeling(bigraph_a, bigraph_a.rows, bigraph_a.cols)
-    assert ["".join(r) for r in labeled.entries] == [
-        "111RR",
-        "1CC1R",
-        "CCC1R",
-    ]
-
-
-def test_forced_identity_matrix():
-    m = from_zero_one([[1, 0], [0, 1]])
-    labeled = forced_labeling(m, m.rows, m.cols)
-    assert labeled.entries == (("1", "R"), ("C", "1"))
-
-
-def test_forced_antidiagonal_conflicts():
-    m = from_zero_one([[0, 1], [1, 0]])
-    with pytest.raises(LabelingConflict) as exc:
-        forced_labeling(m, m.rows, m.cols)
-    assert exc.value.position == ("r0", "c0")
-
-
-def test_forced_requires_propagation():
-    # (r1, c0) is free by the local rules, but the C forced at (r0, c1)
-    # spreads down its column and then left along the second row
-    m = from_zero_one([[1, 0, 1], [0, 0, 0]])
-    labeled = forced_labeling(m, m.rows, m.cols)
-    assert check_rc_valid(labeled)
-    assert labeled.entry("r1", "c0") == "C"
-    assert labeled.entry("r1", "c1") == "C"
-    assert labeled.entry("r1", "c2") == "R"
-
-
-def test_forced_failure_iff_no_labeling_small():
-    # exhaustive over raw matrices up to 3x3 under identity orders
-    for nr in range(1, 4):
-        for nc in range(1, 4):
-            for m in all_zero_one(nr, nc):
-                expected = brute_force_labeling_exists(m)
-                try:
-                    labeled = forced_labeling(m, m.rows, m.cols)
-                    got = True
-                    assert check_rc_valid(labeled)
-                except LabelingConflict:
-                    got = False
-                assert got == expected, m.entries
-
-
-def test_forced_failure_iff_no_labeling_4x4_classes():
-    # identity orders over every class representative cover all (matrix,
-    # orders) pairs up to relabeling
-    for m in matrix_class_representatives(4, 4):
-        expected = brute_force_labeling_exists(m)
-        try:
-            forced_labeling(m, m.rows, m.cols)
-            got = True
-        except LabelingConflict:
-            got = False
-        assert got == expected, m.entries
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +105,65 @@ def test_rc_partition_wider_than_recursion_limit():
 def test_rc_partition_matches_oracle_raw_3x3():
     for m in all_zero_one(3, 3):
         assert find_rc_partition(m).verdict == bigraph_oracle(m), m.entries
+
+
+def _chain(sets) -> bool:
+    return all(a <= b or b <= a for a, b in itertools.combinations(sets, 2))
+
+
+def rc_labeling_exists(grid) -> bool:
+    """Does some R/C labeling of the zeros of a 0/1 grid have its rows' R
+    sets and its columns' C sets each form a chain under inclusion?  That is
+    exactly when some row and column orders make it an R-C partition.
+
+    Rows are labeled one at a time.  A labeled row's R set is final, and
+    each column's C set so far is a restriction of its final one, which
+    keeps inclusions, so an incomparable pair on either side cuts the
+    branch.  The depth is the number of rows.
+    """
+
+    def extend(i, r_sets, c_sets):
+        if i == len(grid):
+            return True
+        zeros = [j for j, e in enumerate(grid[i]) if e == 0]
+        for labels in itertools.product("RC", repeat=len(zeros)):
+            r_set = frozenset(j for j, x in zip(zeros, labels) if x == "R")
+            c_next = [
+                s | {i} if j in zeros and j not in r_set else s
+                for j, s in enumerate(c_sets)
+            ]
+            if _chain(r_sets + [r_set]) and _chain(c_next):
+                if extend(i + 1, r_sets + [r_set], c_next):
+                    return True
+        return False
+
+    return extend(0, [], [frozenset()] * (len(grid[0]) if grid else 0))
+
+
+def _grid(m):
+    return [[int(e) for e in row] for row in m.entries]
+
+
+def test_backtracking_labeling_matches_oracle_3x4_classes():
+    for nr, nc in ((3, 3), (3, 4)):
+        for m in matrix_class_representatives(nr, nc):
+            assert rc_labeling_exists(_grid(m)) == bigraph_oracle(m), m.entries
+
+
+def test_dim2_matrix_that_is_no_interval_bigraph(dim2_not_interval):
+    m = dim2_not_interval
+    assert not rc_labeling_exists(_grid(m))
+    cert = is_interval_bigraph(m)
+    assert not cert.verdict
+    assert cert.witness == {"type": "exhausted"}
+    assert find_rc_partition(m).witness == {"type": "exhausted"}
+    # a minimal obstruction: deleting any one line leaves an interval bigraph
+    grid = _grid(m)
+    smaller = [grid[:i] + grid[i + 1 :] for i in range(len(grid))]
+    smaller += [[row[:j] + row[j + 1 :] for row in grid] for j in range(len(grid[0]))]
+    for data in smaller:
+        assert rc_labeling_exists(data)
+        assert is_interval_bigraph(from_zero_one(data)).verdict, data
 
 
 # ---------------------------------------------------------------------------

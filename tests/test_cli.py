@@ -91,6 +91,20 @@ def test_bigraph_no_on_c6_matrix(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["witness"] == {"type": "exhausted"}
 
 
+def test_dim2_matrix_that_is_no_interval_bigraph(tmp_path, dim2_not_interval, capsys):
+    p = tmp_path / "m.txt"
+    p.write_text(matrix_to_text(dim2_not_interval))
+    for command in ("bigraph", "represent"):
+        assert dispatch([command, str(p), "--output", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "no"
+        assert data["witness"] == {"type": "exhausted"}
+    assert dispatch(["ferrers", str(p), "--dim2", "--output", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "yes"
+    assert len(data["factorization"]["factors"]) == 2
+
+
 def test_bigraph_on_net_bigraph(tmp_path, net, capsys):
     p = tmp_path / "b.txt"
     p.write_text(matrix_to_text(probe_bigraph(net)))

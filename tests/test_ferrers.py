@@ -1,5 +1,8 @@
+import ast
 import random
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from probeint import (
     interval_iff_dim2,
     interval_oracle,
     is_ferrers,
+    is_interval_bigraph,
     is_interval_graph,
     probe_bigraph,
     probe_dim3_decomposition,
@@ -25,7 +29,7 @@ from probeint.ferrers import FerrersFactorization, two_color
 from probeint.matrices import ONE, ZERO, LabeledMatrix, from_zero_one
 from probeint.oracles import ferrers_oracle
 from probeint.sweeps import graph_class_representatives, matrix_class_representatives
-from tests.conftest import assert_odd_couple_cycle
+from tests.conftest import SRC, assert_odd_couple_cycle
 
 
 def test_ferrers_all_ones():
@@ -130,19 +134,17 @@ def test_decompose_rejects_improper_coloring():
         decompose_two_ferrers(m, {("r0", "c1"): "R", ("r1", "c0"): "R"})
 
 
-def assert_zeros_split(fact, labels=None):
-    """Every zero of the target is 0 in exactly one of the two factors, and
-    `labels`, if given, marks R exactly the zeros of the first."""
-    f1, f2 = fact.factors
+def assert_classes_zero_in_own_factor(fact, coloring):
+    """Every R zero of the target is 0 in the first factor and every C zero
+    in the second.  A zero may be 0 in both: the factors' union need not
+    be complete."""
     for i, row in enumerate(fact.target.entries):
         for j, e in enumerate(row):
             if e != ZERO:
                 continue
-            in_f1 = f1.entries[i][j] == ZERO
-            assert in_f1 != (f2.entries[i][j] == ZERO), (fact.target.entries, (i, j))
-            if labels is not None:
-                position = (fact.target.rows[i], fact.target.cols[j])
-                assert labels[position] == ("R" if in_f1 else "C")
+            color = coloring[(fact.target.rows[i], fact.target.cols[j])]
+            own = fact.factors[0 if color == "R" else 1]
+            assert own.entries[i][j] == ZERO, (fact.target.entries, (i, j))
 
 
 def test_two_factor_zeros_partition_target_zeros():
@@ -157,25 +159,88 @@ def test_two_factor_zeros_partition_target_zeros():
                     if not cert.verdict:
                         continue
                     count += 1
-                    assert len(cert.coloring) == len(couple_graph(target))
-                    assert_zeros_split(cert.factorization, cert.coloring)
+                    assert cert.coloring == two_color(couple_graph(target))[0]
+                    assert cert.factorization.target == target
+                    assert_classes_zero_in_own_factor(cert.factorization, cert.coloring)
                     fact = decompose_two_ferrers(target, cert.coloring)
-                    assert fact.target == target and fact.validate()
-                    assert_zeros_split(fact)
+                    assert fact == cert.factorization and fact.validate()
     assert count > 1000
 
 
-def test_bipartite_couple_graph_without_labeling_raises(monkeypatch):
+def test_exhausted_flip_search_is_a_no(monkeypatch):
     m = from_zero_one([[1, 0], [0, 1]])
     coloring, _ = two_color(couple_graph(m))
     assert coloring is not None
     monkeypatch.setattr(bigraphs, "_search_colorings", lambda *args, **kw: None)
-    with pytest.raises(VerificationError, match="bipartite"):
-        ferrers_dim_le_2(m)
-    with pytest.raises(VerificationError, match="bipartite"):
-        decompose_two_ferrers(m, coloring)
-    with pytest.raises(VerificationError, match="bipartite"):
-        find_rc_partition(m)
+    cert = find_rc_partition(m)
+    assert not cert.verdict
+    assert cert.witness == {"type": "exhausted"}
+    # the dim-2 factors never reach the R-C engine
+    assert ferrers_dim_le_2(m).factorization.validate()
+    assert decompose_two_ferrers(m, coloring).validate()
+
+
+def test_decompose_rejects_coloring_without_extension():
+    # the couples of the 3x3 identity are its mirrored zero pairs; labeling
+    # R one zero of each around the cycle 0 -> 1 -> 2 -> 0 asks the first
+    # factor for a threshold with x0 > a1 >= x1 > a2 >= x2 > a0 >= x0
+    m = from_zero_one([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    cyclic = {(f"r{i}", f"c{(i + 1) % 3}"): "R" for i in range(3)}
+    cyclic.update({(f"r{(i + 1) % 3}", f"c{i}"): "C" for i in range(3)})
+    with pytest.raises(ValueError, match="extend"):
+        decompose_two_ferrers(m, cyclic)
+    # flipping one couple breaks the cycle
+    cyclic[("r0", "c1")], cyclic[("r1", "c0")] = "C", "R"
+    assert decompose_two_ferrers(m, cyclic).validate()
+
+
+def test_dim2_yes_on_matrix_that_is_no_interval_bigraph(dim2_not_interval):
+    m = dim2_not_interval
+    cert = ferrers_dim_le_2(m)
+    assert cert.verdict
+    fact = cert.factorization
+    assert fact.target == m and fact.validate()
+    assert_classes_zero_in_own_factor(fact, cert.coloring)
+    # two Ferrers factors with a complete union would make it an interval
+    # bigraph (Sen, Das, Roy & West 1989)
+    assert not fact.union_complete()
+
+
+def _threshold(rng, nr, nc):
+    """A random Ferrers matrix: 1 where a row level is at most a column's."""
+    x = [rng.randint(0, 6) for _ in range(nr)]
+    a = [rng.randint(0, 6) for _ in range(nc)]
+    return [[xi <= aj for aj in a] for xi in x]
+
+
+def test_random_dim2_yes_validates_and_bigraph_answers():
+    rng = random.Random(1982)
+    kinds = Counter()
+    for trial in range(400):
+        nr, nc = rng.randint(2, 12), rng.randint(2, 12)
+        meet = trial % 2 == 0
+        if meet:
+            f1, f2 = _threshold(rng, nr, nc), _threshold(rng, nr, nc)
+            data = [[int(p and q) for p, q in zip(*rows)] for rows in zip(f1, f2)]
+        else:
+            density = rng.choice((0.3, 0.5, 0.7))
+            data = [[int(rng.random() < density) for _ in range(nc)] for _ in range(nr)]
+        m = from_zero_one(
+            data,
+            rows=rng.sample([f"r{i}" for i in range(nr)], nr),
+            cols=rng.sample([f"c{j}" for j in range(nc)], nc),
+        )
+        cert = ferrers_dim_le_2(m)
+        assert cert.verdict or not meet, data
+        if cert.verdict:
+            assert cert.factorization.target == m and cert.factorization.validate()
+        else:
+            assert_odd_couple_cycle(m, cert.witness["positions"])
+        bigraph = is_interval_bigraph(m)
+        # interval bigraphs have Ferrers dimension at most 2
+        assert cert.verdict or not bigraph.verdict, data
+        kinds[cert.verdict, bigraph.verdict] += 1
+    assert kinds[True, True] and kinds[True, False] + kinds[False, False]
 
 
 def test_couple_graph_built_once_per_call(monkeypatch, c4, c4_probe, net_bef):
@@ -192,22 +257,41 @@ def test_couple_graph_built_once_per_call(monkeypatch, c4, c4_probe, net_bef):
             monkeypatch.setattr(module, "couple_graph", counted)
     p4 = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
     reps = {g: recognize_qxl(g).intervals for g in (c4_probe, net_bef)}
+    # the three-factor decomposition reads its factors off the intervals
     calls = [
-        lambda: interval_iff_dim2(p4),
-        lambda: interval_iff_dim2(c4),
-        lambda: ferrers_dim_le_2(augmented_adjacency(p4)),
-        lambda: ferrers_dim_le_2(augmented_adjacency(c4)),
-        lambda: ferrers_dim_le_2(from_zero_one([[0, 1], [1, 1]])),
-        lambda: probe_dim3_decomposition(c4_probe, reps[c4_probe]),
-        lambda: probe_dim3_decomposition(net_bef, reps[net_bef]),
-        lambda: recognize_char2(c4_probe),
-        lambda: recognize_char2(net_bef),
-        lambda: recognize_char2(c4.with_nonprobes([])),
+        (1, lambda: interval_iff_dim2(p4)),
+        (1, lambda: interval_iff_dim2(c4)),
+        (1, lambda: ferrers_dim_le_2(augmented_adjacency(p4))),
+        (1, lambda: ferrers_dim_le_2(augmented_adjacency(c4))),
+        (1, lambda: ferrers_dim_le_2(from_zero_one([[0, 1], [1, 1]]))),
+        (0, lambda: probe_dim3_decomposition(c4_probe, reps[c4_probe])),
+        (0, lambda: probe_dim3_decomposition(net_bef, reps[net_bef])),
+        (1, lambda: recognize_char2(c4_probe)),
+        (1, lambda: recognize_char2(net_bef)),
+        (1, lambda: recognize_char2(c4.with_nonprobes([]))),
     ]
-    for call in calls:
+    for expected, call in calls:
         builds.clear()
         call()
-        assert len(builds) == 1
+        assert len(builds) == expected
+
+
+def test_ferrers_does_not_import_bigraphs():
+    # the factors come from threshold extensions, not from the R-C engine
+    path = Path(SRC, "probeint", "ferrers.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 and not module:
+                imported += [(node.lineno, alias.name) for alias in node.names]
+            else:
+                imported.append((node.lineno, module))
+    lines = [n for n, name in imported if name.split(".")[-1] == "bigraphs"]
+    assert not lines, f"ferrers.py imports bigraphs at lines {lines}"
 
 
 def test_interval_iff_dim2_c4(c4):
