@@ -21,7 +21,7 @@ from .certificates import (
     exhausted_witness,
 )
 from .ferrers import _components, _is_chain, _one_masks, couple_graph, two_color
-from .matrices import C, ONE, R, X, ZERO, LabeledMatrix, strip_to
+from .matrices import C, ONE, R, X, ZERO, LabeledMatrix, _select, strip_to
 
 
 def check_rc_valid(m: LabeledMatrix) -> bool:
@@ -87,9 +87,9 @@ def _rc_partition(m01: LabeledMatrix, labeling: dict) -> Optional[LabeledMatrix]
     row_order = sorted(range(nr), key=lambda i: (row_count[i], i))
     row_at = {i: k for k, i in enumerate(row_order)}
     col_at = {j: k for k, j in enumerate(col_order)}
-    labeled = m01.permuted(
-        tuple(m01.rows[i] for i in row_order), tuple(m01.cols[j] for j in col_order)
-    ).relabeled({(row_at[i], col_at[j]): col for (i, j), col in labeling.items()})
+    labeled = _select(m01, row_order, col_order).relabeled(
+        {(row_at[i], col_at[j]): col for (i, j), col in labeling.items()}
+    )
     if not check_rc_valid(labeled):
         raise VerificationError("chain-ordered labeling is not a valid R-C partition")
     return labeled

@@ -25,6 +25,7 @@ from .certificates import (
     odd_cycle_witness,
 )
 from .graphs import Graph, augmented_adjacency, symmetric_bigraph
+from .intervals import _verify_rep
 from .matrices import C, ONE, R, ZERO, LabeledMatrix, from_rows
 
 
@@ -176,15 +177,6 @@ class FerrersFactorization:
                     return False
         return True
 
-    def union_complete(self) -> bool:
-        """True iff every position is 1 in at least one factor."""
-        nr, nc = self.target.shape
-        return all(
-            any(f.entries[i][j] == ONE for f in self.factors)
-            for i in range(nr)
-            for j in range(nc)
-        )
-
 
 def _components(graph: dict) -> list[list]:
     comps: list[list] = []
@@ -294,11 +286,9 @@ def probe_dim3_decomposition(g: Graph, probe_rep: dict) -> FerrersFactorization:
     nonprobe-by-nonprobe square.  The intersection of the three equals the
     adjacency matrix with loops at probes only.
     """
-    from .probes import verify_probe_rep
-
     if g.nonprobes is None:
         raise ValueError("graph has no nonprobe set")
-    if not verify_probe_rep(g, probe_rep):
+    if not _verify_rep(g, probe_rep, g.nonprobes):
         raise ValueError("probe representation fails verification")
 
     spans = [probe_rep[name] for name in g.vertex_names]
@@ -315,5 +305,5 @@ def probe_dim3_decomposition(g: Graph, probe_rep: dict) -> FerrersFactorization:
         factor(lambda u, v: spans[v][0] <= spans[u][1]),
         factor(lambda u, v: not (u in g.nonprobes and v in g.nonprobes)),
     )
-    target = symmetric_bigraph(g, probe_loops_only=True)
+    target = symmetric_bigraph(g)
     return _validated(FerrersFactorization(factors=factors, target=target))

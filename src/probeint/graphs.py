@@ -46,12 +46,6 @@ class Graph:
             return False
         return (min(i, j), max(i, j)) in self.edges
 
-    def name(self, i: int):
-        return self.vertex_names[i]
-
-    def index(self, name) -> int:
-        return self.vertex_names.index(name)
-
     @property
     def probes(self) -> tuple:
         """Probe indices in vertex order; requires nonprobes to be set."""
@@ -70,26 +64,6 @@ class Graph:
             vertex_names=self.vertex_names,
             edges=self.edges,
             nonprobes=frozenset(nonprobes),
-        )
-
-    def with_extra_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        """New graph with added edges; drops the nonprobe set if violated."""
-        new_edges = set(self.edges)
-        for i, j in extra:
-            if i == j:
-                raise ValueError("self-loop")
-            new_edges.add((min(i, j), max(i, j)))
-        nonprobes = self.nonprobes
-        if nonprobes is not None:
-            for i, j in new_edges:
-                if i in nonprobes and j in nonprobes:
-                    nonprobes = None
-                    break
-        return Graph(
-            n=self.n,
-            vertex_names=self.vertex_names,
-            edges=frozenset(new_edges),
-            nonprobes=nonprobes,
         )
 
     def induced(self, keep: Iterable[int]) -> "Graph":
@@ -121,14 +95,10 @@ def build_graph(
     edge endpoints in listed order.  Self-loops and a non-independent
     nonprobe set are rejected.
     """
-    names: list = []
-    seen = set()
+    index: dict = {}  # name -> vertex index, in order of first appearance
 
     def intern(name) -> int:
-        if name not in seen:
-            seen.add(name)
-            names.append(name)
-        return names.index(name)
+        return index.setdefault(name, len(index))
 
     for name in vertices or ():
         intern(name)
@@ -140,20 +110,20 @@ def build_graph(
         i, j = intern(u), intern(v)
         edges.add((min(i, j), max(i, j)))
 
-    if not names:
+    if not index:
         raise ValueError("graph has no vertices")
 
     np_idx = None
     if nonprobes is not None:
         np_names = list(nonprobes)
         for name in np_names:
-            if name not in seen:
+            if name not in index:
                 raise ValueError(f"unknown nonprobe vertex {name}")
-        np_idx = frozenset(names.index(name) for name in np_names)
+        np_idx = frozenset(index[name] for name in np_names)
 
     return Graph(
-        n=len(names),
-        vertex_names=tuple(names),
+        n=len(index),
+        vertex_names=tuple(index),
         edges=frozenset(edges),
         nonprobes=np_idx,
     )
@@ -191,24 +161,16 @@ def probe_bigraph(g: Graph) -> LabeledMatrix:
     )
 
 
-def symmetric_bigraph(g: Graph, probe_loops_only: bool = False) -> LabeledMatrix:
-    """Square n x n matrix viewing the graph as a bipartite doubling.
-
-    With `probe_loops_only` off the diagonal is all 1 (the augmented
-    adjacency matrix).  With it on, the diagonal is 1 exactly at probes,
-    i.e. the adjacency matrix after adding a loop at every probe vertex.
-    """
-    if probe_loops_only and g.nonprobes is None:
+def symmetric_bigraph(g: Graph) -> LabeledMatrix:
+    """Square n x n matrix viewing the graph as a bipartite doubling, with
+    a loop added at every probe vertex: the adjacency matrix whose diagonal
+    is 1 exactly at probes.  It differs from `augmented_adjacency` only on
+    the diagonal at nonprobes."""
+    if g.nonprobes is None:
         raise ValueError("graph has no nonprobe set")
-
-    def diag(i: int) -> str:
-        if probe_loops_only and i in g.nonprobes:
-            return ZERO
-        return ONE
-
     entries = tuple(
         tuple(
-            diag(i) if i == j else (ONE if g.has_edge(i, j) else ZERO)
+            ONE if g.has_edge(i, j) or (i == j and i not in g.nonprobes) else ZERO
             for j in range(g.n)
         )
         for i in range(g.n)

@@ -5,13 +5,18 @@ whose rows and columns carry vertex labels.  Plain 0/1 matrices are the
 degenerate case; the extra symbols appear in zero partitions (R, C) and in
 padded square forms (X, before resolution).
 
+Labels are the interface, indices are the work: callers name rows and
+columns by label, and the library turns labels into indices once per
+matrix and reads `entries` by index from then on.  `entry` is the label
+accessor for callers; no module of the library calls it.
+
 All values are immutable; every operation returns a new matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 ONE = "1"
 ZERO = "0"
@@ -48,14 +53,8 @@ class LabeledMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.cols)
 
-    def row_index(self, label) -> int:
-        return self.rows.index(label)
-
-    def col_index(self, label) -> int:
-        return self.cols.index(label)
-
     def entry(self, row_label, col_label) -> str:
-        return self.entries[self.row_index(row_label)][self.col_index(col_label)]
+        return self.entries[self.rows.index(row_label)][self.cols.index(col_label)]
 
     def is_zero_one(self) -> bool:
         return all(e in (ZERO, ONE) for row in self.entries for e in row)
@@ -87,41 +86,11 @@ class LabeledMatrix:
             raise ValueError("row_order is not a permutation of the row labels")
         if len(col_order) != len(self.cols) or set(col_order) != set(self.cols):
             raise ValueError("col_order is not a permutation of the column labels")
-        ri = [self.row_index(r_) for r_ in row_order]
-        ci = [self.col_index(c_) for c_ in col_order]
-        return LabeledMatrix(
-            rows=tuple(row_order),
-            cols=tuple(col_order),
-            entries=tuple(tuple(self.entries[i][j] for j in ci) for i in ri),
+        row_at = {r_: i for i, r_ in enumerate(self.rows)}
+        col_at = {c_: j for j, c_ in enumerate(self.cols)}
+        return _select(
+            self, [row_at[r_] for r_ in row_order], [col_at[c_] for c_ in col_order]
         )
-
-    def submatrix(self, row_labels: Iterable, col_labels: Iterable) -> "LabeledMatrix":
-        row_labels = tuple(row_labels)
-        col_labels = tuple(col_labels)
-        ri = [self.row_index(r_) for r_ in row_labels]
-        ci = [self.col_index(c_) for c_ in col_labels]
-        return LabeledMatrix(
-            rows=row_labels,
-            cols=col_labels,
-            entries=tuple(tuple(self.entries[i][j] for j in ci) for i in ri),
-        )
-
-    def with_entry(self, i: int, j: int, value: str) -> "LabeledMatrix":
-        row = self.entries[i][:j] + (value,) + self.entries[i][j + 1 :]
-        return LabeledMatrix(
-            rows=self.rows,
-            cols=self.cols,
-            entries=self.entries[:i] + (row,) + self.entries[i + 1 :],
-        )
-
-    def zero_positions(self) -> list[tuple[int, int]]:
-        """Index pairs of entries that are 0, R or C (anything but 1 and X)."""
-        return [
-            (i, j)
-            for i, row in enumerate(self.entries)
-            for j, e in enumerate(row)
-            if e in (ZERO, R, C)
-        ]
 
     def relabeled(self, zeros: dict) -> "LabeledMatrix":
         """Replace entries at the given (i, j) index positions."""
@@ -151,8 +120,20 @@ def from_zero_one(data: Sequence[Sequence[int]], rows=None, cols=None) -> Labele
     return LabeledMatrix(rows=tuple(rows), cols=tuple(cols), entries=entries)
 
 
+def _select(m: LabeledMatrix, ri: Sequence[int], ci: Sequence[int]) -> LabeledMatrix:
+    """The rows at indices ri and the columns at indices ci, in those orders."""
+    return LabeledMatrix(
+        rows=tuple(m.rows[i] for i in ri),
+        cols=tuple(m.cols[j] for j in ci),
+        entries=tuple(tuple(m.entries[i][j] for j in ci) for i in ri),
+    )
+
+
 def strip_to(m: LabeledMatrix, row_labels: Sequence, col_labels: Sequence) -> LabeledMatrix:
     """Delete all rows/columns not in the given label sets, keeping m's order."""
-    keep_r = [r_ for r_ in m.rows if r_ in set(row_labels)]
-    keep_c = [c_ for c_ in m.cols if c_ in set(col_labels)]
-    return m.submatrix(keep_r, keep_c)
+    keep_r, keep_c = set(row_labels), set(col_labels)
+    return _select(
+        m,
+        [i for i, r_ in enumerate(m.rows) if r_ in keep_r],
+        [j for j, c_ in enumerate(m.cols) if c_ in keep_c],
+    )

@@ -130,11 +130,14 @@ def x_fill(m_qxl: LabeledMatrix) -> LabeledMatrix:
     return out
 
 
+def _nonprobe_names(g: Graph) -> tuple:
+    return tuple(sorted(g.vertex_names[v] for v in g.nonprobes))
+
+
 def _probe_cert(g: Graph, kind: str, route: str, **evidence) -> ProbeCertificate:
     """A certificate from `route`, naming the nonprobes of g in sorted order."""
-    nonprobe_names = tuple(sorted(g.vertex_names[v] for v in g.nonprobes))
     return ProbeCertificate(
-        kind=kind, route=route, nonprobes=nonprobe_names, **evidence
+        kind=kind, route=route, nonprobes=_nonprobe_names(g), **evidence
     )
 
 
@@ -158,8 +161,7 @@ def recognize_qxl(g: Graph) -> ProbeCertificate:
         )
 
     order = tuple(g.vertex_names[v] for v in placed)
-    nonprobe_names = [g.vertex_names[v] for v in g.nonprobes]
-    marked = x_mark_nonprobes(augmented_adjacency(g), nonprobe_names)
+    marked = x_mark_nonprobes(augmented_adjacency(g), _nonprobe_names(g))
     filled = x_fill(marked.permuted(order, order))
     intervals = intervals_from_quasi_linear(filled, filled.rows)
     if not verify_probe_rep(g, intervals):
@@ -181,24 +183,33 @@ def verify_probe_rep(g: Graph, intervals: dict) -> bool:
 
 def scan_forbidden(m: LabeledMatrix, probes, nonprobes) -> Optional[tuple]:
     """First (p, q, n) with probe rows p, q joined by a 1 block and a
-    nonprobe column n labeled R in p's row and C in q's row.
+    nonprobe column n labeled R in p's row and C in q's row: p first in
+    row order, then q, then n in column order.
 
     The test reads labels only, so it is invariant under any row or column
-    permutation that preserves them.
+    permutation that preserves them.  The labels are turned into indices
+    once: each probe row carries its column index and the bitmasks of its
+    R and its C nonprobe columns, whose least common bit is the first n.
     """
-    probes = [p for p in m.rows if p in set(probes)]
-    nonprobes = [v for v in m.cols if v in set(nonprobes)]
-    for p in probes:
-        for q in probes:
-            if p == q:
-                continue
-            if m.entry(p, q) != ONE or m.entry(q, p) != ONE:
-                continue
-            if m.entry(p, p) != ONE or m.entry(q, q) != ONE:
-                continue
-            for n_ in nonprobes:
-                if m.entry(p, n_) == R and m.entry(q, n_) == C:
-                    return (p, q, n_)
+    probes, nonprobes = set(probes), set(nonprobes)
+    col_at = {c_: j for j, c_ in enumerate(m.cols)}
+    cols = [j for j, c_ in enumerate(m.cols) if c_ in nonprobes]
+
+    def marks(row: tuple, label: str) -> int:
+        return sum(1 << j for j in cols if row[j] == label)
+
+    rows = [
+        (i, col_at[p], marks(m.entries[i], R), marks(m.entries[i], C))
+        for i, p in enumerate(m.rows)
+        if p in probes
+    ]
+    e = m.entries
+    for i, ic, r_marks, _ in rows:
+        for k, kc, _, c_marks in rows:
+            # a row's R and C marks are disjoint, so k == i never matches
+            both = r_marks & c_marks
+            if both and e[i][kc] == e[k][ic] == e[i][ic] == e[k][kc] == ONE:
+                return m.rows[i], m.rows[k], m.cols[(both & -both).bit_length() - 1]
     return None
 
 
@@ -230,9 +241,6 @@ def recognize_char1(g: Graph) -> ProbeCertificate:
     into a verified representation.
     """
     _require_nonprobes(g)
-    nonprobe_names = tuple(sorted(g.vertex_names[v] for v in g.nonprobes))
-    probe_names = tuple(g.vertex_names[p] for p in g.probes)
-
     m01 = probe_bigraph(g)
     graph = couple_graph(m01)
     coloring, cycle = two_color(graph)
@@ -245,15 +253,15 @@ def recognize_char1(g: Graph) -> ProbeCertificate:
             witness=odd_cycle_witness(cycle),
         )
 
-    pos_of = _positions_by_label(m01.rows, m01.cols)
-    pattern_pairs = []
-    for p in probe_names:
-        for q in probe_names:
-            if p == q:
-                continue
-            if m01.entry(p, q) == ONE and m01.entry(q, p) == ONE:
-                for n_ in nonprobe_names:
-                    pattern_pairs.append((pos_of[(p, n_)], pos_of[(q, n_)]))
+    # row a of m01 is probe probes[a], column v is vertex v
+    probes, nonprobes = g.probes, sorted(g.nonprobes)
+    pattern_pairs = [
+        ((a, n_), (b, n_))
+        for a, p in enumerate(probes)
+        for b, q in enumerate(probes)
+        if a != b and m01.entries[a][q] == ONE and m01.entries[b][p] == ONE
+        for n_ in nonprobes
+    ]
 
     def has_pattern(labels: dict) -> bool:
         return any(
@@ -262,7 +270,7 @@ def recognize_char1(g: Graph) -> ProbeCertificate:
 
     labeled = _search_colorings(m01, graph, coloring, prune=has_pattern)
     if labeled is not None:
-        if scan_forbidden(labeled, probe_names, nonprobe_names) is not None:
+        if scan_forbidden(labeled, m01.rows, _nonprobe_names(g)) is not None:
             raise VerificationError("char1 partition carries the forbidden pattern")
         return _probe_pipeline(g, labeled, KIND_PROBE_CHAR1, ROUTE_CHAR1)
     # the no-answer also reports whether the bigraph alone was recognizable
@@ -283,26 +291,23 @@ def align_probe_columns(m: LabeledMatrix) -> LabeledMatrix:
     pattern-freeness for a valid pattern-free input, which is re-checked.
     """
     probes = list(m.rows)
-    nonprobes = [c_ for c_ in m.cols if c_ not in set(probes)]
+    probe_set = set(probes)
+    nonprobes = [c_ for c_ in m.cols if c_ not in probe_set]
     if not check_rc_valid(m):
         raise ValueError("matrix is not a valid R-C partition")
     if scan_forbidden(m, probes, nonprobes) is not None:
         raise ValueError("matrix contains the forbidden pattern")
     current = m
+    cols = list(m.cols)
+    at = {c_: j for j, c_ in enumerate(cols)}  # column label -> position
     for t, p in enumerate(probes):
         while True:
-            cols = list(current.cols)
-            p_at = cols.index(p)
-            offenders = [
-                (cols.index(q), q)
-                for q in probes[t + 1 :]
-                if cols.index(q) < p_at
-            ]
+            offenders = [q for q in probes[t + 1 :] if at[q] < at[p]]
             if not offenders:
                 break
-            _, q = min(offenders)
-            cols.remove(q)
-            cols.insert(cols.index(p) + 1, q)
+            lo, hi = min(at[q] for q in offenders), at[p]
+            cols.insert(hi, cols.pop(lo))  # the first offender moves to just after p
+            at.update((c_, j) for j, c_ in enumerate(cols[lo : hi + 1], lo))
             current = current.permuted(current.rows, cols)
             if not check_rc_valid(current):
                 raise VerificationError("column shift broke the R-C partition")
@@ -311,8 +316,9 @@ def align_probe_columns(m: LabeledMatrix) -> LabeledMatrix:
     return current
 
 
-def probe_representation(m_aligned: LabeledMatrix, g: Optional[Graph] = None) -> dict:
-    """Intervals for all vertices from an aligned pattern-free R-C matrix.
+def probe_representation(m_aligned: LabeledMatrix, g: Graph) -> dict:
+    """Verified intervals for all vertices of g from an aligned
+    pattern-free R-C matrix.
 
     Probes get the sum of their row and column intervals of the
     diagonalized matrix.  A nonprobe column ends just before the least
@@ -320,10 +326,9 @@ def probe_representation(m_aligned: LabeledMatrix, g: Optional[Graph] = None) ->
     beyond every probe endpoint when it has no C), and starts just after
     the greatest right endpoint among its R rows (or at 0 with no R).
     """
-    probes = list(m_aligned.rows)
+    probes = m_aligned.rows
     probe_set = set(probes)
-    nonprobes = [c_ for c_ in m_aligned.cols if c_ not in probe_set]
-    if [c_ for c_ in m_aligned.cols if c_ in probe_set] != probes:
+    if tuple(c_ for c_ in m_aligned.cols if c_ in probe_set) != probes:
         raise ValueError("probe columns are not aligned with the rows")
 
     iv = intervals_from_diagonalized(diagonalize(m_aligned))
@@ -335,9 +340,12 @@ def probe_representation(m_aligned: LabeledMatrix, g: Optional[Graph] = None) ->
         assignment[p] = (a1 + a2, b1 + b2)
     sentinel = max((b for _, b in assignment.values()), default=0) + 1
 
-    for n_ in nonprobes:
-        r_ends = [assignment[p][1] for p in probes if m_aligned.entry(p, n_) == R]
-        c_starts = [assignment[p][0] for p in probes if m_aligned.entry(p, n_) == C]
+    for j, n_ in enumerate(m_aligned.cols):
+        if n_ in probe_set:
+            continue
+        column = [(assignment[p], row[j]) for p, row in zip(probes, m_aligned.entries)]
+        r_ends = [b for (_, b), e in column if e == R]
+        c_starts = [a for (a, _), e in column if e == C]
         left = max(r_ends) + 1 if r_ends else 0
         right = min(c_starts) - 1 if c_starts else sentinel
         if left > right:
@@ -346,7 +354,7 @@ def probe_representation(m_aligned: LabeledMatrix, g: Optional[Graph] = None) ->
             )
         assignment[n_] = (left, right)
 
-    if g is not None and not verify_probe_rep(g, assignment):
+    if not verify_probe_rep(g, assignment):
         raise VerificationError("probe representation failed verification")
     return assignment
 
@@ -359,8 +367,7 @@ def reduced_associated_graph(g: Graph) -> dict:
     """Couple graph of the augmented adjacency matrix with the
     nonprobe-square zeros marked X, so that they are no vertices."""
     _require_nonprobes(g)
-    nonprobe_names = [g.vertex_names[v] for v in g.nonprobes]
-    return couple_graph(x_mark_nonprobes(augmented_adjacency(g), nonprobe_names))
+    return couple_graph(x_mark_nonprobes(augmented_adjacency(g), _nonprobe_names(g)))
 
 
 def recognize_char2(g: Graph) -> ProbeCertificate:
@@ -374,9 +381,6 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
     a couple with equal colors), so the same constructive pipeline applies.
     """
     _require_nonprobes(g)
-    nonprobe_names = tuple(sorted(g.vertex_names[v] for v in g.nonprobes))
-    probe_names = tuple(g.vertex_names[p] for p in g.probes)
-
     reduced = reduced_associated_graph(g)
     coloring, cycle = two_color(reduced)
     if coloring is None:
@@ -390,26 +394,24 @@ def recognize_char2(g: Graph) -> ProbeCertificate:
 
     # a probe-nonprobe zero and its mirror form a couple (both diagonal
     # entries are 1), so they are colored apart under every component flip
-    probe_set = set(probe_names)
+    nonprobes = set(_nonprobe_names(g))
     for (u, v), col in coloring.items():
         mirror = coloring.get((v, u))
-        if u in probe_set and v not in probe_set and mirror in (None, col):
+        if u not in nonprobes and v in nonprobes and mirror in (None, col):
             raise VerificationError(
                 f"zero {(u, v)} and its mirror are not colored apart"
             )
 
     # the probe rows of the augmented matrix are the probes-by-vertices
     # matrix, so the engine labels exactly the restriction to them
+    m01 = probe_bigraph(g)
     labeled = _search_colorings(
-        probe_bigraph(g),
-        reduced,
-        coloring,
-        _positions_by_label(g.vertex_names, g.vertex_names),
+        m01, reduced, coloring, _positions_by_label(g.vertex_names, g.vertex_names)
     )
     if labeled is None:
         return _probe_cert(
             g, KIND_PROBE_CHAR2, ROUTE_CHAR2, verdict=False, witness=exhausted_witness()
         )
-    if scan_forbidden(labeled, probe_names, nonprobe_names) is not None:
+    if scan_forbidden(labeled, m01.rows, nonprobes) is not None:
         raise VerificationError("char2 partition carries the forbidden pattern")
     return _probe_pipeline(g, labeled, KIND_PROBE_CHAR2, ROUTE_CHAR2)

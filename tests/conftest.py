@@ -39,6 +39,17 @@ def run_python(*args):
     )
 
 
+def union_complete(fact):
+    """True iff every position is 1 in at least one factor of the
+    Ferrers factorization."""
+    nr, nc = fact.target.shape
+    return all(
+        any(f.entries[i][j] == "1" for f in fact.factors)
+        for i in range(nr)
+        for j in range(nc)
+    )
+
+
 def assert_odd_couple_cycle(m, cycle):
     """Every consecutive pair of zero positions along the odd cycle, the
     last back to the first, must be a couple of the 0/1 matrix m."""

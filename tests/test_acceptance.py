@@ -40,6 +40,7 @@ from probeint.sweeps import (
     independent_set_orbits,
     matrix_class_representatives,
 )
+from tests.conftest import union_complete
 from tests.test_cli import A_MATRIX, C4_EDGELIST, NET_JSON
 
 
@@ -308,11 +309,11 @@ def test_criterion_6_three_factor_decomposition(sweep):
         fact = probe_dim3_decomposition(rec.graph, rec.qxl_cert.intervals)
         assert len(fact.factors) == 3
         assert fact.validate()
-        assert fact.target == symmetric_bigraph(rec.graph, probe_loops_only=True)
+        assert fact.target == symmetric_bigraph(rec.graph)
         pair = FerrersFactorization(
             factors=fact.factors[:2], target=fact.target
         )
-        assert pair.union_complete()
+        assert union_complete(pair)
     elapsed = time.perf_counter() - start
     report(
         "criterion 6", f"{count} yes-instances decomposed into 3 factors", elapsed

@@ -29,7 +29,7 @@ from probeint.ferrers import FerrersFactorization, two_color
 from probeint.matrices import ONE, ZERO, LabeledMatrix, from_zero_one
 from probeint.oracles import ferrers_oracle
 from probeint.sweeps import graph_class_representatives, matrix_class_representatives
-from tests.conftest import SRC, assert_odd_couple_cycle
+from tests.conftest import SRC, assert_odd_couple_cycle, union_complete
 
 
 def test_ferrers_all_ones():
@@ -125,7 +125,7 @@ def test_decompose_p4_union_complete():
     cert = ferrers_dim_le_2(m)
     fact = decompose_two_ferrers(m, cert.coloring)
     assert fact.validate()
-    assert fact.union_complete()
+    assert union_complete(fact)
 
 
 def test_decompose_rejects_improper_coloring():
@@ -203,7 +203,7 @@ def test_dim2_yes_on_matrix_that_is_no_interval_bigraph(dim2_not_interval):
     assert_classes_zero_in_own_factor(fact, cert.coloring)
     # two Ferrers factors with a complete union would make it an interval
     # bigraph (Sen, Das, Roy & West 1989)
-    assert not fact.union_complete()
+    assert not union_complete(fact)
 
 
 def _threshold(rng, nr, nc):
@@ -277,7 +277,9 @@ def test_couple_graph_built_once_per_call(monkeypatch, c4, c4_probe, net_bef):
 
 
 def test_ferrers_does_not_import_bigraphs():
-    # the factors come from threshold extensions, not from the R-C engine
+    # the factors come from threshold extensions, not from the R-C engine,
+    # and the three-factor decomposition checks its model without the probe
+    # routes, so ferrers and probes import no cycle
     path = Path(SRC, "probeint", "ferrers.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = []
@@ -290,8 +292,8 @@ def test_ferrers_does_not_import_bigraphs():
                 imported += [(node.lineno, alias.name) for alias in node.names]
             else:
                 imported.append((node.lineno, module))
-    lines = [n for n, name in imported if name.split(".")[-1] == "bigraphs"]
-    assert not lines, f"ferrers.py imports bigraphs at lines {lines}"
+    lines = [n for n, name in imported if name.split(".")[-1] in ("bigraphs", "probes")]
+    assert not lines, f"ferrers.py imports bigraphs or probes at lines {lines}"
 
 
 def test_interval_iff_dim2_c4(c4):
@@ -325,7 +327,7 @@ def test_dim2_yes_implies_decomposition_validates():
             cert = interval_iff_dim2(g)
             if cert.verdict:
                 assert cert.factorization.validate()
-                assert cert.factorization.union_complete()
+                assert union_complete(cert.factorization)
 
 
 def test_dim2_no_witness_is_genuine_odd_couple_cycle():
@@ -363,7 +365,7 @@ def test_dim3_net_alt_nonprobes(net_bef):
     assert fact.validate()
     f1, f2 = fact.factors[:2]
     pair = FerrersFactorization(factors=(f1, f2), target=fact.target)
-    assert pair.union_complete()
+    assert union_complete(pair)
 
 
 def test_dim3_rejects_bad_representation(c4_probe):

@@ -18,7 +18,7 @@ from probeint import (
 from probeint.certificates import VerificationError
 from probeint.matrices import from_zero_one
 from probeint.sweeps import graph_class_representatives
-from tests.conftest import SRC, run_python
+from tests.conftest import NET_EDGES, SRC, run_python
 
 
 def path(names):
@@ -65,7 +65,7 @@ def test_find_order_c4_no(c4):
 
 def test_find_order_net_and_filled_net_no(net):
     assert not find_quasi_linear_order(augmented_adjacency(net)).verdict
-    net_ef = net.with_extra_edges([(net.index("e"), net.index("f"))])
+    net_ef = build_graph(NET_EDGES + [("e", "f")])
     assert not find_quasi_linear_order(augmented_adjacency(net_ef)).verdict
 
 

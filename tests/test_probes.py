@@ -144,6 +144,46 @@ def test_scan_invariant_under_label_preserving_permutations(net_rc_labeling):
         assert hit is not None  # presence is order-independent
 
 
+def _reference_scan(m, probes, nonprobes):
+    """scan_forbidden read label by label through `entry`."""
+    probes = [p for p in m.rows if p in probes]
+    nonprobes = [v for v in m.cols if v in nonprobes]
+    for p in probes:
+        for q in probes:
+            block = ((p, q), (q, p), (p, p), (q, q))
+            if p == q or any(m.entry(a, b) != ONE for a, b in block):
+                continue
+            for n_ in nonprobes:
+                if m.entry(p, n_) == R and m.entry(q, n_) == C:
+                    return (p, q, n_)
+    return None
+
+
+def test_scan_matches_label_by_label_reference():
+    rng = random.Random(17)
+    hits = misses = 0
+    for _ in range(400):
+        probe_names = [f"p{i}" for i in range(rng.randint(1, 6))]
+        nonprobe_names = [f"n{i}" for i in range(rng.randint(0, 4))]
+        rows = rng.sample(probe_names, len(probe_names))
+        cols = rng.sample(probe_names + nonprobe_names, len(probe_names + nonprobe_names))
+        data = [
+            [
+                rng.choice([ONE, ONE, ONE, R]) if c in probe_names else rng.choice([ONE, R, C])
+                for c in cols
+            ]
+            for _ in rows
+        ]
+        m = from_rows(rows, cols, data)
+        # sometimes only some rows count as probes
+        probes_given = rng.sample(probe_names, rng.randint(1, len(probe_names)))
+        want = _reference_scan(m, set(probes_given), set(nonprobe_names))
+        assert scan_forbidden(m, probes_given, nonprobe_names) == want
+        hits += want is not None
+        misses += want is None
+    assert hits > 50 and misses > 50
+
+
 # ---------------------------------------------------------------------------
 # recognizers on the reference instances
 
@@ -325,8 +365,9 @@ def test_probe_representation_requires_alignment():
         ["q", "p", "n"],
         [["1", "1", "R"], ["1", "1", "1"]],
     )
+    g = build_graph([("p", "q"), ("q", "n")], nonprobes=["n"])
     with pytest.raises(ValueError, match="aligned"):
-        probe_representation(m)
+        probe_representation(m, g)
 
 
 def test_verify_probe_rep_rules(c4_probe):
@@ -377,7 +418,7 @@ def test_couple_graph_skips_x_and_rejects_labels():
     assert graph[("a", "c")] == {("c", "a")}
     for label in (R, C):
         with pytest.raises(ValueError, match="not over"):
-            couple_graph(m.with_entry(0, 1, label))
+            couple_graph(m.relabeled({(0, 1): label}))
 
 
 def test_reduced_edgeless_two_nonprobes_empty():
