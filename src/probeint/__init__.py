@@ -44,7 +44,6 @@ from .oracles import (
 )
 from .probes import (
     align_probe_columns,
-    is_quasi_x_linear,
     probe_representation,
     recognize_char1,
     recognize_char2,
@@ -52,7 +51,6 @@ from .probes import (
     reduced_associated_graph,
     scan_forbidden,
     verify_probe_rep,
-    x_fill,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +86,6 @@ __all__ = [
     "is_interval_bigraph",
     "is_interval_graph",
     "is_quasi_linear",
-    "is_quasi_x_linear",
     "probe_bigraph",
     "probe_dim3_decomposition",
     "probe_oracle",
@@ -102,5 +99,4 @@ __all__ = [
     "verify_bigraph_rep",
     "verify_interval_rep",
     "verify_probe_rep",
-    "x_fill",
 ]

@@ -21,6 +21,7 @@ from .certificates import (
     exhausted_witness,
 )
 from .ferrers import _components, _is_chain, _one_masks, couple_graph, two_color
+from .intervals import _stair_ends
 from .matrices import C, ONE, R, X, ZERO, LabeledMatrix, _select, strip_to
 
 
@@ -411,28 +412,20 @@ class BigraphIntervals:
 def intervals_from_diagonalized(m_diag: LabeledMatrix) -> BigraphIntervals:
     """Read intervals off a diagonalized matrix.
 
-    Line i (1-based) gets [i, r] where r is the last position at or after
-    the diagonal whose entry is 1 -- rows scan rightward, columns downward.
-    The diagonal itself is 1, so r always exists.
+    Line i (1-based) gets [i, r], r the end of its stair (`_stair_ends`):
+    an R ends a row and a C ends a column, so r is the line's last 1 at or
+    after the diagonal.  A 1 after that end raises ValueError.
     """
     if not is_diagonalized(m_diag):
         raise ValueError("matrix is not in diagonalized form")
-    n = len(m_diag.rows)
-    rows = {}
-    for i in range(n):
-        r_ = i
-        for j in range(i + 1, n):
-            if m_diag.entries[i][j] == ONE:
-                r_ = j
-        rows[m_diag.rows[i]] = (i + 1, r_ + 1)
-    cols = {}
-    for j in range(n):
-        s = j
-        for i in range(j + 1, n):
-            if m_diag.entries[i][j] == ONE:
-                s = i
-        cols[m_diag.cols[j]] = (j + 1, s + 1)
-    return BigraphIntervals(rows=rows, cols=cols)
+    rows = _stair_ends(m_diag.entries)
+    cols = _stair_ends(tuple(zip(*m_diag.entries)))
+    if rows is None or cols is None:
+        raise ValueError("diagonalized matrix is not in stair form")
+    return BigraphIntervals(
+        rows={v: (i + 1, r_) for i, (v, r_) in enumerate(zip(m_diag.rows, rows))},
+        cols={v: (j + 1, s) for j, (v, s) in enumerate(zip(m_diag.cols, cols))},
+    )
 
 
 def verify_bigraph_rep(m01: LabeledMatrix, intervals: BigraphIntervals) -> bool:

@@ -11,6 +11,10 @@ Exit codes: 0 (yes), 1 (no), 2 (error).  Subcommands:
   ferrers INPUT --dim3      three-factor decomposition of a probe instance
   split-check INPUT         interval split oracle
   oracle-compare --max-n K  recognizers versus brute-force oracles
+
+`--output json|text` selects the certificate format, and `dot` too on
+interval and probe; diagonalize, split-check, oracle-compare and
+ferrers --dim3 have one output format each.
 """
 
 from __future__ import annotations
@@ -228,24 +232,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="input file, or - for stdin")
-            p.add_argument(
-                "--format",
-                choices=("auto", "json", "edgelist", "matrix"),
-                default="auto",
-                help="input format (default: auto-detect)",
-            )
+    def add_io(p, outputs=("json", "text")):
+        p.add_argument("input", help="input file, or - for stdin")
         p.add_argument(
-            "--output",
-            choices=("json", "text", "dot"),
-            default="text",
-            help="certificate output format",
+            "--format",
+            choices=("auto", "json", "edgelist", "matrix"),
+            default="auto",
+            help="input format (default: auto-detect)",
         )
+        if outputs:
+            p.add_argument(
+                "--output",
+                choices=outputs,
+                default="text",
+                help="certificate output format",
+            )
 
     p = sub.add_parser("interval", help="interval graph recognition")
-    add_io(p)
+    add_io(p, ("json", "text", "dot"))
     p.set_defaults(fn=_cmd_interval)
 
     p = sub.add_parser("bigraph", help="interval bigraph recognition")
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bigraph)
 
     p = sub.add_parser("probe", help="probe interval graph recognition")
-    add_io(p)
+    add_io(p, ("json", "text", "dot"))
     p.add_argument(
         "--route",
         choices=("qxl", "char1", "char2", "all"),
@@ -263,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_probe)
 
     p = sub.add_parser("diagonalize", help="diagonalize an R-C matrix")
-    add_io(p)
+    add_io(p, ())
     p.set_defaults(fn=_cmd_diagonalize)
 
     p = sub.add_parser("represent", help="interval representation of a bigraph")
@@ -275,12 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--dim2", action="store_true", help="two-factor test")
     group.add_argument(
-        "--dim3", action="store_true", help="three-factor probe decomposition"
+        "--dim3",
+        action="store_true",
+        help="three-factor probe decomposition, always printed as JSON",
     )
     p.set_defaults(fn=_cmd_ferrers)
 
     p = sub.add_parser("split-check", help="interval split graph oracle")
-    add_io(p)
+    add_io(p, ())
     p.set_defaults(fn=_cmd_split_check)
 
     p = sub.add_parser("oracle-compare", help="recognizers versus oracles")

@@ -53,11 +53,6 @@ class Graph:
             raise ValueError("graph has no nonprobe set")
         return tuple(v for v in range(self.n) if v not in self.nonprobes)
 
-    def neighbors(self, i: int) -> frozenset:
-        return frozenset(
-            j for j in range(self.n) if j != i and self.has_edge(i, j)
-        )
-
     def with_nonprobes(self, nonprobes: Iterable) -> "Graph":
         return Graph(
             n=self.n,

@@ -7,9 +7,11 @@ likewise below it).  Recognition here is an exact backtracking search over
 vertex orders: desk-scale instances are the target, and the produced order
 doubles as a checkable certificate.
 
-The order search `_search_quasi_linear`, the ones scan `_scan_quasi_linear`
-and the representation check `_verify_rep` are shared with the probe
-routes: there the X-marked nonprobe pairs are neutral, neither a 1 nor a 0.
+Entries marked X are neutral, neither a 1 nor a 0, both in the order
+search and in the stair read-off `_stair_ends`.  So the probe route qxl is
+this module's route on the matrix whose nonprobe square is marked X, and
+`verify_probe_rep` shares its body `_verify_rep`.  `bigraphs` reads a
+diagonalized matrix's intervals with the same `_stair_ends`.
 """
 
 from __future__ import annotations
@@ -35,27 +37,40 @@ def _require_symmetric_unit_diagonal(m: LabeledMatrix) -> None:
         raise ValueError("diagonal is not all 1")
 
 
-def _scan_quasi_linear(p: LabeledMatrix) -> bool:
-    """Quasi-linear test in the stored order: right of the diagonal no 1
-    follows a 0 in any row, and below it none in any column.  X entries are
-    neutral, which makes this the quasi-x-linear test as well."""
-    for grid in (p.entries, tuple(zip(*p.entries))):  # rows, then columns
-        for i, line in enumerate(grid):
-            seen_zero = False
-            for e in line[i + 1 :]:
-                if e == ONE:
-                    if seen_zero:
-                        return False
-                elif e != X:
-                    seen_zero = True
-    return True
+def _stair_ends(lines) -> Optional[list[int]]:
+    """Where each line's stair ends, or None if some line is no stair.
+
+    Line i's stair is the run after position i of entries that are 1 or X;
+    it ends at the first other entry, or at the line's length.  The line is
+    a stair when no 1 follows that end, and its 1-based interval is then
+    [i + 1, end]: an X inside the run reads as a 1, one after it as a 0.
+    """
+    ends = []
+    for i, line in enumerate(lines):
+        end = next((j for j in range(i + 1, len(line)) if line[j] not in (ONE, X)), len(line))
+        if ONE in line[end:]:
+            return None
+        ends.append(end)
+    return ends
+
+
+def _ordered_rows(m: LabeledMatrix, order: Sequence) -> list[tuple]:
+    """The rows of m under the symmetric permutation `order`, read by
+    index; m is symmetric, so they stand for the columns too."""
+    _require_symmetric_unit_diagonal(m)
+    at = {v: i for i, v in enumerate(m.rows)}
+    if len(order) != len(at) or set(order) != set(at):
+        raise ValueError("order is not a permutation of the vertex labels")
+    idx = [at[v] for v in order]
+    return [tuple(m.entries[a][b] for b in idx) for a in idx]
 
 
 def is_quasi_linear(m: LabeledMatrix, order: Sequence) -> bool:
     """True iff under the symmetric permutation `order` the 1s right of and
-    below the principal diagonal are consecutive from the diagonal."""
-    _require_symmetric_unit_diagonal(m)
-    return _scan_quasi_linear(m.permuted(tuple(order), tuple(order)))
+    below the principal diagonal are consecutive from the diagonal.  X
+    entries are neutral, so on a matrix whose nonprobe square is marked X
+    (`probes.x_mark_nonprobes`) this is the quasi-x-linear test."""
+    return _stair_ends(_ordered_rows(m, order)) is not None
 
 
 def _search_quasi_linear(
@@ -114,7 +129,9 @@ def find_quasi_linear_order(m: LabeledMatrix) -> Certificate:
     ones = [
         {j for j in range(n) if j != i and m.entries[i][j] == ONE} for i in range(n)
     ]
-    zeros = [set(range(n)) - ones[i] - {i} for i in range(n)]
+    zeros = [
+        {j for j in range(n) if m.entries[i][j] not in (ONE, X)} for i in range(n)
+    ]
     found = _search_quasi_linear(ones, zeros)
     if found is None:
         return Certificate(
@@ -125,23 +142,12 @@ def find_quasi_linear_order(m: LabeledMatrix) -> Certificate:
 
 
 def intervals_from_quasi_linear(m: LabeledMatrix, order: Sequence) -> dict:
-    """Read an interval per vertex off a quasi-linear order.
-
-    The vertex at position i (1-based) gets [i, r] where r is the last
-    position at or after i whose entry in row i is 1.
-    """
-    if not is_quasi_linear(m, order):
+    """Read an interval per vertex off a quasi-linear order: the vertex at
+    position i (1-based) gets [i, r], r the end of row i's stair."""
+    ends = _stair_ends(_ordered_rows(m, order))
+    if ends is None:
         raise ValueError("order does not satisfy the quasi-linear ones property")
-    p = m.permuted(tuple(order), tuple(order))
-    n = len(p.rows)
-    intervals = {}
-    for i in range(n):
-        r = i
-        for j in range(i + 1, n):
-            if p.entries[i][j] == ONE:
-                r = j
-        intervals[p.rows[i]] = (i + 1, r + 1)
-    return intervals
+    return {v: (i + 1, end) for i, (v, end) in enumerate(zip(order, ends))}
 
 
 def _verify_rep(g: Graph, intervals: dict, nonprobes) -> bool:

@@ -16,21 +16,21 @@ probe endpoint.  Three equivalent matrix characterizations are implemented:
            probe rows is an R-C partition.
 
 Every yes answer carries an interval assignment that has been verified
-against the probe adjacency rule before being returned.  The qxl route runs
-the interval module's order search (`_search_quasi_linear`) and ones scan
-(`_scan_quasi_linear`) with the nonprobe pairs left neutral, and
-`verify_probe_rep` shares its body (`_verify_rep`) with
-`verify_interval_rep`.  char1 and char2 run the R-C partition engine of
-`bigraphs` (`_search_colorings`, the component-flip search behind
-`find_rc_partition`): char1 adds the forbidden-pattern prune, char2
-searches the reduced graph and labels only its probe rows.  Both recheck
-the partition found with `scan_forbidden`, then share the constructive
-pipeline.
+against the probe adjacency rule before being returned.  The qxl route is
+the interval route, `find_quasi_linear_order` then
+`intervals_from_quasi_linear`, on the augmented matrix with the nonprobe
+square marked X, which both leave neutral; `verify_probe_rep` shares its
+body (`_verify_rep`) with `verify_interval_rep`.  char1 and char2 run the
+R-C partition engine of `bigraphs` (`_search_colorings`, the component-flip
+search behind `find_rc_partition`): char1 adds the forbidden-pattern prune,
+char2 searches the reduced graph and labels only its probe rows.  Both
+recheck the partition found with `scan_forbidden`, then share the
+constructive pipeline.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .bigraphs import (
     _positions_by_label,
@@ -53,13 +53,7 @@ from .certificates import (
 )
 from .ferrers import couple_graph, two_color
 from .graphs import Graph, augmented_adjacency, probe_bigraph
-from .intervals import (
-    _require_symmetric_unit_diagonal,
-    _scan_quasi_linear,
-    _search_quasi_linear,
-    _verify_rep,
-    intervals_from_quasi_linear,
-)
+from .intervals import _verify_rep, find_quasi_linear_order, intervals_from_quasi_linear
 from .matrices import C, ONE, R, X, ZERO, LabeledMatrix
 
 
@@ -90,46 +84,6 @@ def x_mark_nonprobes(m: LabeledMatrix, nonprobes) -> LabeledMatrix:
     return m.relabeled(marks)
 
 
-def is_quasi_x_linear(m: LabeledMatrix, order: Sequence, nonprobes) -> bool:
-    """Does the symmetric permutation `order` satisfy the quasi-x-linear
-    ones property, with X marking the nonprobe-square zeros?"""
-    _require_symmetric_unit_diagonal(m)
-    marked = x_mark_nonprobes(m, nonprobes)
-    return _scan_quasi_linear(marked.permuted(tuple(order), tuple(order)))
-
-
-def x_fill(m_qxl: LabeledMatrix) -> LabeledMatrix:
-    """Resolve X marks so the result is quasi-linear in the stored order.
-
-    Row rule (mirrored below the diagonal): an X before the row's first
-    plain 0 right of the diagonal becomes 1, any later X becomes 0.  Only X
-    positions change; the result is symmetric and quasi-linear.
-    """
-    if not _scan_quasi_linear(m_qxl):
-        raise ValueError("matrix does not satisfy the quasi-x-linear property")
-    n = len(m_qxl.rows)
-    grid = [list(row) for row in m_qxl.entries]
-    for i in range(n):
-        first_zero = n
-        for j in range(i + 1, n):
-            if grid[i][j] == ZERO:
-                first_zero = j
-                break
-        for j in range(i + 1, n):
-            if m_qxl.entries[i][j] == X:
-                value = ONE if j < first_zero else ZERO
-                grid[i][j] = value
-                grid[j][i] = value
-    out = LabeledMatrix(
-        rows=m_qxl.rows,
-        cols=m_qxl.cols,
-        entries=tuple(tuple(r_) for r_ in grid),
-    )
-    if not out.is_symmetric():
-        raise VerificationError("x-filled matrix is not symmetric")
-    return out
-
-
 def _nonprobe_names(g: Graph) -> tuple:
     return tuple(sorted(g.vertex_names[v] for v in g.nonprobes))
 
@@ -147,27 +101,18 @@ def _require_nonprobes(g: Graph) -> None:
 
 
 def recognize_qxl(g: Graph) -> ProbeCertificate:
-    """Probe interval recognition by quasi-x-linear order search."""
+    """Probe interval recognition by quasi-x-linear order search: the
+    interval route on the augmented matrix with the nonprobe square X."""
     _require_nonprobes(g)
-
-    ones = [set(g.neighbors(u)) for u in range(g.n)]
-    zeros = [set(range(g.n)) - ones[u] - {u} for u in range(g.n)]
-    for u in g.nonprobes:
-        zeros[u] -= g.nonprobes  # nonprobe pairs are X: neither 1 nor 0
-    placed = _search_quasi_linear(ones, zeros)
-    if placed is None:
-        return _probe_cert(
-            g, KIND_QXL, ROUTE_QXL, verdict=False, witness=exhausted_witness()
-        )
-
-    order = tuple(g.vertex_names[v] for v in placed)
     marked = x_mark_nonprobes(augmented_adjacency(g), _nonprobe_names(g))
-    filled = x_fill(marked.permuted(order, order))
-    intervals = intervals_from_quasi_linear(filled, filled.rows)
+    cert = find_quasi_linear_order(marked)
+    if not cert.verdict:
+        return _probe_cert(g, KIND_QXL, ROUTE_QXL, verdict=False, witness=cert.witness)
+    intervals = intervals_from_quasi_linear(marked, cert.order)
     if not verify_probe_rep(g, intervals):
         raise VerificationError("qxl representation failed verification")
     return _probe_cert(
-        g, KIND_QXL, ROUTE_QXL, verdict=True, order=order, intervals=intervals
+        g, KIND_QXL, ROUTE_QXL, verdict=True, order=cert.order, intervals=intervals
     )
 
 

@@ -15,7 +15,7 @@ from probeint import (
     verify_bigraph_rep,
 )
 from probeint.bigraphs import BigraphIntervals, diagonalize_with_method, is_diagonalized
-from probeint.matrices import from_rows, from_zero_one, strip_to
+from probeint.matrices import ONE, from_rows, from_zero_one, strip_to
 from probeint.sweeps import matrix_class_representatives
 
 
@@ -260,6 +260,45 @@ def test_algorithm_stripped_tables(bigraph_a):
 def test_algorithm_rejects_undiagonalized():
     with pytest.raises(ValueError, match="diagonalized"):
         intervals_from_diagonalized(from_zero_one([[1, 0], [0, 1]]))
+
+
+def test_algorithm_rejects_one_after_stair_end():
+    # diagonalized positions, but row a's R is followed by a 1
+    m = from_rows(
+        ["a", "b", "c"],
+        ["x", "y", "z"],
+        [["1", "R", "1"], ["C", "1", "1"], ["C", "C", "1"]],
+    )
+    assert is_diagonalized(m)
+    with pytest.raises(ValueError, match="stair"):
+        intervals_from_diagonalized(m)
+
+
+def _last_ones(m):
+    """Line i gets [i, its last 1 at or after the diagonal], label by label."""
+    n = len(m.rows)
+    rows = {
+        r: (i + 1, max(j for j in range(i, n) if m.entry(r, m.cols[j]) == ONE) + 1)
+        for i, r in enumerate(m.rows)
+    }
+    cols = {
+        c: (j + 1, max(i for i in range(j, n) if m.entry(m.rows[i], c) == ONE) + 1)
+        for j, c in enumerate(m.cols)
+    }
+    return rows, cols
+
+
+def test_read_off_is_the_last_ones_over_small_classes():
+    count = 0
+    for nr in range(1, 5):
+        for nc in range(1, 5):
+            for m in matrix_class_representatives(nr, nc):
+                cert = is_interval_bigraph(m)
+                if cert.verdict:
+                    iv = intervals_from_diagonalized(cert.diagonalized)
+                    assert (iv.rows, iv.cols) == _last_ones(cert.diagonalized)
+                    count += 1
+    assert count > 500
 
 
 # ---------------------------------------------------------------------------

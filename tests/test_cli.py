@@ -165,6 +165,21 @@ def test_split_check_no(tmp_path, k222, capsys):
     assert dispatch(["split-check", str(p)]) == 1
 
 
+def test_output_formats_are_those_a_command_prints(files, capsys):
+    # dot only where there is a graph to draw, no --output where it is ignored
+    assert dispatch(["interval", files["c4.txt"], "--output", "dot"]) == 1
+    assert capsys.readouterr().out.startswith("graph")
+    for argv in (
+        ["bigraph", files["a.txt"], "--output", "dot"],
+        ["represent", files["a.txt"], "--output", "dot"],
+        ["ferrers", files["a.txt"], "--dim2", "--output", "dot"],
+        ["diagonalize", files["a.txt"], "--output", "json"],
+        ["split-check", files["c4.txt"], "--output", "text"],
+    ):
+        assert dispatch(argv) == 2, argv
+        assert "--output" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_cli(files):
     proc = run_python("-m", "probeint.cli", "interval", files["c4.txt"])
     assert proc.returncode == 1

@@ -93,6 +93,9 @@ def test_intervals_rejects_bad_order():
     g = path("abc")
     with pytest.raises(ValueError):
         intervals_from_quasi_linear(augmented_adjacency(g), ("a", "c", "b"))
+    for order in (("a", "b"), ("a", "b", "b"), ("a", "b", "x")):
+        with pytest.raises(ValueError, match="permutation"):
+            intervals_from_quasi_linear(augmented_adjacency(g), order)
 
 
 def test_verify_rejects_missing_vertex():

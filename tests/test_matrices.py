@@ -113,3 +113,19 @@ def test_library_reads_no_entry_by_label(monkeypatch, net, net_bef):
                 probe_dim3_decomposition(g, cert.intervals)
     assert certs[0].verdict  # the planted graph is a yes for every route
     assert calls == []
+
+
+def test_order_routes_permute_no_matrix(monkeypatch, c4_probe):
+    # the interval and qxl routes read their order's rows by index
+    calls = []
+    original = LabeledMatrix.permuted
+
+    def counted(self, row_order, col_order):
+        calls.append((row_order, col_order))
+        return original(self, row_order, col_order)
+
+    monkeypatch.setattr(LabeledMatrix, "permuted", counted)
+    p4 = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
+    assert is_interval_graph(p4).verdict
+    assert recognize_qxl(c4_probe).verdict
+    assert calls == []

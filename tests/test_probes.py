@@ -11,8 +11,8 @@ from probeint import (
     couple_graph,
     find_rc_partition,
     is_interval_graph,
+    intervals_from_quasi_linear,
     is_quasi_linear,
-    is_quasi_x_linear,
     probe_bigraph,
     probe_oracle,
     probe_representation,
@@ -23,9 +23,8 @@ from probeint import (
     reduced_associated_graph,
     scan_forbidden,
     verify_probe_rep,
-    x_fill,
 )
-from probeint.matrices import C, ONE, R, X, from_rows
+from probeint.matrices import C, ONE, R, X, ZERO, from_rows
 from probeint.probes import x_mark_nonprobes
 from probeint.sweeps import graph_class_representatives, independent_set_orbits
 from tests.conftest import assert_odd_couple_cycle
@@ -34,72 +33,99 @@ ROUTES = (recognize_qxl, recognize_char1, recognize_char2)
 
 
 # ---------------------------------------------------------------------------
-# quasi-x-linear property and fill
+# quasi-x-linear property: quasi-linearity of the X-marked matrix, and the
+# X fill that the stair read-off applies (an X before the row's first plain
+# 0 reads as 1, a later one as 0)
+
+
+def is_qxl(m, order, nonprobes):
+    return is_quasi_linear(x_mark_nonprobes(m, nonprobes), order)
 
 
 def test_qxl_reduces_to_quasi_linear_without_nonprobes():
     g = build_graph([("a", "b"), ("b", "c")])
     m = augmented_adjacency(g)
     for order in itertools.permutations("abc"):
-        assert is_quasi_x_linear(m, order, set()) == is_quasi_linear(m, order)
+        assert is_qxl(m, order, set()) == is_quasi_linear(m, order)
 
 
 def test_qxl_c4_order(c4_probe):
     m = augmented_adjacency(c4_probe)
-    assert is_quasi_x_linear(m, ("a", "b", "d", "c"), {"b", "d"})
+    assert is_qxl(m, ("a", "b", "d", "c"), {"b", "d"})
+    assert not is_quasi_linear(m, ("a", "b", "d", "c"))
     # some order must pass; exhaustive confirmation
-    assert any(
-        is_quasi_x_linear(m, order, {"b", "d"})
-        for order in itertools.permutations("abcd")
-    )
+    assert any(is_qxl(m, order, {"b", "d"}) for order in itertools.permutations("abcd"))
 
 
 def test_qxl_net_fails_all_orders(net):
     m = augmented_adjacency(net)
     assert not any(
-        is_quasi_x_linear(m, order, {"e", "f"})
-        for order in itertools.permutations("abcdef")
+        is_qxl(m, order, {"e", "f"}) for order in itertools.permutations("abcdef")
     )
 
 
 def test_qxl_rejects_dependent_marks(c4_probe):
     m = augmented_adjacency(c4_probe)
     with pytest.raises(ValueError, match="identity"):
-        is_quasi_x_linear(m, ("a", "b", "c", "d"), {"a", "b"})
+        x_mark_nonprobes(m, {"a", "b"})
 
 
 def test_x_fill_c4_adds_chord(c4_probe):
     m = x_mark_nonprobes(augmented_adjacency(c4_probe), {"b", "d"})
-    ordered = m.permuted(("a", "b", "d", "c"), ("a", "b", "d", "c"))
-    filled = x_fill(ordered)
-    assert filled.entry("b", "d") == ONE
-    assert filled.entry("d", "b") == ONE
-    assert is_quasi_linear(filled, filled.rows)
-    # only X positions changed
-    for i in range(4):
-        for j in range(4):
-            if ordered.entries[i][j] != X:
-                assert filled.entries[i][j] == ordered.entries[i][j]
+    intervals = intervals_from_quasi_linear(m, ("a", "b", "d", "c"))
+    # the X at (b, d) lies before b's first plain 0, so it reads as a 1
+    (lb, rb), (ld, rd) = intervals["b"], intervals["d"]
+    assert max(lb, ld) <= min(rb, rd)
+    assert verify_probe_rep(c4_probe, intervals)
+    assert intervals == recognize_qxl(c4_probe).intervals
 
 
 def test_x_fill_without_marks_is_identity():
     g = build_graph([("a", "b"), ("b", "c")])
     m = augmented_adjacency(g)
-    assert x_fill(m) == m
+    assert x_mark_nonprobes(m, set()) == m
 
 
 def test_x_fill_edgeless_all_nonprobes_fills_complete():
     g = build_graph([], vertices=["a", "b", "c"], nonprobes=["a", "b", "c"])
     m = x_mark_nonprobes(augmented_adjacency(g), {"a", "b", "c"})
-    filled = x_fill(m)
-    assert all(e == ONE for row in filled.entries for e in row)
-    assert is_quasi_linear(filled, filled.rows)
+    # every X reads as a 1, so every interval ends at n
+    assert intervals_from_quasi_linear(m, m.rows) == {"a": (1, 3), "b": (2, 3), "c": (3, 3)}
+    assert recognize_qxl(g).intervals == {"a": (1, 3), "b": (2, 3), "c": (3, 3)}
 
 
 def test_x_fill_requires_qxl_order(net):
     m = x_mark_nonprobes(augmented_adjacency(net), {"e", "f"})
-    with pytest.raises(ValueError, match="quasi-x-linear"):
-        x_fill(m)
+    with pytest.raises(ValueError, match="quasi-linear"):
+        intervals_from_quasi_linear(m, m.rows)
+
+
+def _x_filled_last_ones(m, order):
+    """The paper's read-off, label by label: fill each X right of the
+    diagonal with 1 before the row's first plain 0 and with 0 after it,
+    then give the vertex at position i the interval [i, its last 1]."""
+    out = {}
+    for i, v in enumerate(order):
+        row = [m.entry(v, u) for u in order]
+        first_zero = next((j for j in range(i + 1, len(row)) if row[j] == ZERO), len(row))
+        ones = [j for j in range(i, len(row)) if row[j] == ONE or (row[j] == X and j < first_zero)]
+        out[v] = (i + 1, max(ones) + 1)
+    return out
+
+
+def test_qxl_intervals_are_the_x_filled_last_ones():
+    count = 0
+    for n in range(1, 7):
+        for g in graph_class_representatives(n):
+            for nonprobes in independent_set_orbits(g):
+                inst = g.with_nonprobes(nonprobes)
+                cert = recognize_qxl(inst)
+                if not cert.verdict:
+                    continue
+                m = x_mark_nonprobes(augmented_adjacency(inst), cert.nonprobes)
+                assert cert.intervals == _x_filled_last_ones(m, cert.order)
+                count += 1
+    assert count > 1000
 
 
 # ---------------------------------------------------------------------------
